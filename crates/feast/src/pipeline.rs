@@ -38,7 +38,7 @@ use sched::{
 };
 use slicing::{
     distribute_baseline, prefilter, BaselineStrategy, DeadlineAssignment, PrefilterReject,
-    RedistributeStats, SliceCache, SliceKey, SliceMemo, Slicer,
+    RedistributeStats, SliceCache, SliceInputs, SliceKey, SliceMemo, Slicer,
 };
 use taskgraph::{TaskGraph, Time};
 
@@ -196,9 +196,6 @@ impl Pipeline {
         prefilter(graph, platform, Some(&pins))
     }
 
-    /// The cross-request cache key for `graph` on `platform`, when this
-    /// pipeline distributes by slicing (`None` for baselines). Workers use
-    /// it to group duplicate graphs within a batch.
     /// Detaches the cross-request slice cache, returning it for
     /// [`resume_slice_cache`](Pipeline::resume_slice_cache). Amendment
     /// re-slices run between the two: an amended graph is a per-resident
@@ -217,6 +214,9 @@ impl Pipeline {
         }
     }
 
+    /// The cross-request cache key for `graph` on `platform`, when this
+    /// pipeline distributes by slicing (`None` for baselines). Workers use
+    /// it to group duplicate graphs within a batch.
     pub(crate) fn slice_key(&self, graph: &TaskGraph, platform: &Platform) -> Option<SliceKey> {
         match &self.distributor {
             Distributor::Slicing(slicer) => Some(slicer.cache_key(graph, platform)),
@@ -229,9 +229,11 @@ impl Pipeline {
     /// trial-schedules fluently (or detaches into a [`SliceOutput`] for a
     /// pipelined service).
     ///
-    /// Slicing reads the platform's processor count and communication
-    /// costs but never its committed load, so this stage may run on any
-    /// worker, concurrently with other requests' trials.
+    /// Slicing reads from the platform exactly its [`SliceInputs`] (which
+    /// messages materialize, at what estimated cost, and each node's
+    /// virtual weight) and never its committed load, so this stage may run
+    /// on any worker, concurrently with other requests' trials. Baselines
+    /// read nothing from the platform.
     ///
     /// # Errors
     ///
@@ -279,24 +281,7 @@ impl Pipeline {
             }
             (Distributor::Baseline(strategy), _) => (distribute_baseline(graph, *strategy), None),
         };
-        let distribute = started.elapsed();
-
-        // Baselines produce deliberately overlapping windows, so
-        // structural window validation only applies to slicing.
-        let audit_started = Instant::now();
-        let window_violations = match &self.distributor {
-            Distributor::Slicing(_) => assignment.validate(graph).violations().len(),
-            Distributor::Baseline(_) => 0,
-        };
-        let window_audit = audit_started.elapsed();
-
-        let output = SliceOutput {
-            assignment,
-            window_violations,
-            distribute,
-            window_audit,
-            redistribute,
-        };
+        let output = self.audited(graph, assignment, started.elapsed(), redistribute);
         if let (Some(key), Some(cache)) = (key, &self.cache) {
             // After a slicing run the delta memo (when kept) describes
             // exactly this graph's trace — snapshot it alongside the
@@ -313,6 +298,82 @@ impl Pipeline {
             graph,
             output,
         })
+    }
+
+    /// Stage one for a sweep over system sizes: like
+    /// [`slice`](Pipeline::slice), but returns a clone of the `kept`
+    /// product when the slicing inputs of `graph` on `platform` equal the
+    /// ones it was made from, and otherwise slices and keeps the new
+    /// product with its inputs. `kept` must only ever hold products of
+    /// `graph`. Output is bit-identical either way, since equal inputs on
+    /// one graph give equal assignments.
+    ///
+    /// The product's `distribute` time is what this call spent getting the
+    /// assignment: preparing and comparing inputs, plus the DP when it ran.
+    /// A reuse counts as a slice-cache hit and a DP run as a miss. Neither
+    /// the delta memo nor the cross-request cache is consulted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Slice`] when deadline distribution fails.
+    pub(crate) fn slice_or_reuse(
+        &mut self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        kept: &mut Option<(Option<SliceInputs>, SliceOutput)>,
+    ) -> Result<SliceOutput, RunError> {
+        let started = Instant::now();
+        // `None` for a baseline: UD/ED read nothing from the platform, so
+        // one product serves every system size.
+        let inputs = match &self.distributor {
+            Distributor::Slicing(slicer) => Some(slicer.prepare(graph, platform)),
+            Distributor::Baseline(_) => None,
+        };
+        if let Some((_, output)) = kept.as_ref().filter(|(k, _)| *k == inputs) {
+            telemetry::global().count_slice_cache_hit();
+            return Ok(SliceOutput {
+                distribute: started.elapsed(),
+                window_audit: Duration::ZERO,
+                ..output.clone()
+            });
+        }
+        telemetry::global().count_slice_cache_miss();
+        *kept = None;
+        let assignment = match &self.distributor {
+            Distributor::Slicing(slicer) => {
+                let inputs = inputs.as_ref().expect("slicing prepared its inputs");
+                slicer.distribute_prepared(graph, inputs)?
+            }
+            Distributor::Baseline(strategy) => distribute_baseline(graph, *strategy),
+        };
+        let output = self.audited(graph, assignment, started.elapsed(), None);
+        *kept = Some((inputs, output.clone()));
+        Ok(output)
+    }
+
+    /// Packs a fresh assignment into a stage-one product after the
+    /// always-on window audit.
+    fn audited(
+        &self,
+        graph: &TaskGraph,
+        assignment: DeadlineAssignment,
+        distribute: Duration,
+        redistribute: Option<RedistributeStats>,
+    ) -> SliceOutput {
+        // Baselines produce deliberately overlapping windows, so
+        // structural window validation only applies to slicing.
+        let audit_started = Instant::now();
+        let window_violations = match &self.distributor {
+            Distributor::Slicing(_) => assignment.validate(graph).violations().len(),
+            Distributor::Baseline(_) => 0,
+        };
+        SliceOutput {
+            assignment,
+            window_violations,
+            distribute,
+            window_audit: audit_started.elapsed(),
+            redistribute,
+        }
     }
 
     /// Stage two against an empty platform: schedules a detached slice

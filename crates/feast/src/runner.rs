@@ -65,6 +65,7 @@ use serde::{Deserialize, Serialize};
 
 use platform::Platform;
 use sched::MissLog;
+use slicing::SliceInputs;
 use taskgraph::gen::{
     generate_seeded, generate_shape_seeded, stream_label, stream_seed, sub_stream, GenerateError,
 };
@@ -75,7 +76,7 @@ use crate::fault::FaultPlan;
 use crate::fault::FaultSite;
 use crate::progress::{MetricsWriter, ProgressTracker};
 use crate::telemetry::{self, EventSink, RunEvent, Stage};
-use crate::{Pipeline, RunError, Scenario, SummaryStats, WorkloadSource};
+use crate::{Pipeline, RunError, Scenario, SliceOutput, SummaryStats, WorkloadSource};
 
 /// Measurements of one scenario at one system size, aggregated over all
 /// replications.
@@ -700,20 +701,26 @@ fn workload(
     })
 }
 
-/// Runs one full replication through the [`Pipeline`] facade: distribute
-/// deadlines, schedule, measure.
+/// Runs one cell through the [`Pipeline`] facade: distribute deadlines,
+/// schedule, measure.
 ///
 /// `pipeline` is per-worker: it owns the scheduler scratch state, which
 /// every trial fully resets on entry, so reusing one pipeline across
 /// replications (even after a caught panic) changes nothing but the
-/// allocation count.
+/// allocation count. `kept` is the worker's slice product of this
+/// replication's graph at the previous system size; it is reused when the
+/// slicing inputs at this size equal its own (see
+/// [`Pipeline::slice_or_reuse`]).
 ///
-/// Stage timing is self-time: `distribute_us` covers the slicer alone and
-/// `schedule_us` the list scheduler alone, while both validation passes
-/// (window audit + schedule audit) are accounted to [`Stage::Audit`].
+/// Stage timing is self-time: `distribute_us` covers getting the
+/// assignment alone (preparing and comparing slicing inputs, plus the
+/// slicer when it runs) and `schedule_us` the list scheduler alone, while
+/// both validation passes (window audit + schedule audit) are accounted to
+/// [`Stage::Audit`].
 /// Every `profile_every`-th replication additionally emits a
 /// [`RunEvent::Profile`] with the per-stage breakdown (`0` disables
 /// sampling).
+#[allow(clippy::too_many_arguments)]
 fn run_once(
     scenario: &Scenario,
     graph: &TaskGraph,
@@ -721,9 +728,11 @@ fn run_once(
     rep: usize,
     events: &EventScope,
     pipeline: &mut Pipeline,
+    kept: &mut Option<(Option<SliceInputs>, SliceOutput)>,
     profile_every: usize,
 ) -> Result<ReplicationRecord, RunError> {
-    let verdict = pipeline.slice(graph, platform)?.trial(platform)?;
+    let output = pipeline.slice_or_reuse(graph, platform, kept)?;
+    let verdict = pipeline.trial_output(graph, platform, output)?;
     let violations = verdict.violations();
     let record = ReplicationRecord {
         system_size: platform.processor_count(),
@@ -1527,67 +1536,87 @@ impl Runner {
             graphs.insert(rep, graph);
         }
 
+        // Each distinct size once, in sweep order, with its platform built
+        // up front (sizes the checkpoint already completes are skipped).
+        let mut platforms: Vec<(usize, Platform)> = Vec::new();
         for &size in &scenario.system_sizes {
-            let missing: Vec<usize> = owned
-                .iter()
-                .copied()
-                .filter(|&rep| !cells.contains_key(&(size, rep)))
-                .collect();
-            if missing.is_empty() {
+            let known = platforms.iter().any(|(s, _)| *s == size);
+            if known || owned.iter().all(|&rep| cells.contains_key(&(size, rep))) {
                 continue;
             }
-            if cancel.is_cancelled() {
-                events.flush();
-                return Err(RunError::Cancelled);
-            }
-            let _size_span = tracing::debug_span!("system_size", procs = size).entered();
             let topology = scenario.topology.build(size, scenario.cost_per_item);
-            let platform = Platform::homogeneous(size, topology)?;
+            platforms.push((size, Platform::homogeneous(size, topology)?));
+        }
 
-            let mut schedulable = Vec::with_capacity(missing.len());
-            for &rep in &missing {
-                match failed_generation.get(&rep) {
-                    None => schedulable.push(rep),
-                    Some(error) => {
-                        let outcome = ReplicationOutcome::Failed(FailedReplication {
-                            system_size: size,
-                            replication: rep,
-                            stage: "generate".to_owned(),
-                            error: error.clone(),
-                        });
-                        telemetry::global().count_failed_replication();
-                        events.emit(|| RunEvent::ReplicationFailed {
-                            scenario: scenario.label.clone(),
-                            system_size: size,
-                            replication: rep,
-                            stage: "generate".to_owned(),
-                            error: error.clone(),
-                        });
-                        // Failure events reach disk immediately: a process
-                        // that dies later still leaves them in events.jsonl.
-                        events.flush();
-                        if let Some(w) = &writer {
-                            w.append(&outcome, &fault, &events)?;
-                        }
-                        progress.record_cell(false, 0);
-                        cells.insert((size, rep), outcome);
-                    }
+        for (&rep, error) in &failed_generation {
+            for &(size, _) in &platforms {
+                if cells.contains_key(&(size, rep)) {
+                    continue;
                 }
+                let outcome = ReplicationOutcome::Failed(FailedReplication {
+                    system_size: size,
+                    replication: rep,
+                    stage: "generate".to_owned(),
+                    error: error.clone(),
+                });
+                telemetry::global().count_failed_replication();
+                events.emit(|| RunEvent::ReplicationFailed {
+                    scenario: scenario.label.clone(),
+                    system_size: size,
+                    replication: rep,
+                    stage: "generate".to_owned(),
+                    error: error.clone(),
+                });
+                // Failure events reach disk immediately: a process that
+                // dies later still leaves them in events.jsonl.
+                events.flush();
+                if let Some(w) = &writer {
+                    w.append(&outcome, &fault, &events)?;
+                }
+                progress.record_cell(false, 0);
+                cells.insert((size, rep), outcome);
             }
+        }
+        if cancel.is_cancelled() {
+            events.flush();
+            return Err(RunError::Cancelled);
+        }
 
-            let computed: Vec<Result<Vec<ReplicationOutcome>, RunError>> =
-                fan_out(&schedulable, threads, "schedule", |chunk: &[usize]| {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    // One pipeline (and thus one scheduling workspace) per
-                    // worker: steady-state replications run allocation-free.
-                    // All workers share the run's deadline-miss budget.
-                    let mut pipeline = Pipeline::new(&scenario);
-                    pipeline.set_miss_log(Some(Arc::clone(miss_log)));
-                    for &rep in chunk {
-                        if cancel.is_cancelled() {
-                            break;
+        // Replication-major: each worker walks its replications and, for
+        // each one, every missing size in order, so it can hand the
+        // previous size's slice product to the next size whenever the
+        // slicing inputs repeat. Only that one product is kept per worker.
+        let schedulable: Vec<usize> = graphs
+            .keys()
+            .copied()
+            .filter(|&rep| {
+                platforms
+                    .iter()
+                    .any(|(size, _)| !cells.contains_key(&(*size, rep)))
+            })
+            .collect();
+        let computed: Vec<Result<Vec<ReplicationOutcome>, RunError>> =
+            fan_out(&schedulable, threads, "schedule", |chunk: &[usize]| {
+                let mut out = Vec::with_capacity(chunk.len() * platforms.len());
+                // One pipeline (and thus one scheduling workspace) per
+                // worker: steady-state replications run allocation-free.
+                // All workers share the run's deadline-miss budget.
+                let mut pipeline = Pipeline::new(&scenario);
+                pipeline.set_miss_log(Some(Arc::clone(miss_log)));
+                for &rep in chunk {
+                    let graph = &graphs[&rep];
+                    let mut kept = None;
+                    for (size, platform) in &platforms {
+                        let size = *size;
+                        if cells.contains_key(&(size, rep)) {
+                            continue;
                         }
-                        let graph = &graphs[&rep];
+                        if cancel.is_cancelled() {
+                            return Ok(out);
+                        }
+                        let _cell_span =
+                            tracing::debug_span!("system_size", procs = size, replication = rep)
+                                .entered();
                         let inject_panic =
                             fault.fires(FaultSite::WorkerPanic, size, rep, 0, &events);
                         let result = catch_unwind(AssertUnwindSafe(|| {
@@ -1597,10 +1626,11 @@ impl Runner {
                             run_once(
                                 &scenario,
                                 graph,
-                                &platform,
+                                platform,
                                 rep,
                                 &events,
                                 &mut pipeline,
+                                &mut kept,
                                 profile_every,
                             )
                         }));
@@ -1634,6 +1664,9 @@ impl Runner {
                             }
                         };
                         if let ReplicationOutcome::Failed(f) = &outcome {
+                            // A failed cell may have left its product half
+                            // made: the next size slices afresh.
+                            kept = None;
                             tracing::warn!(
                                 system_size = size,
                                 replication = rep,
@@ -1671,17 +1704,17 @@ impl Runner {
                             cancel.cancel();
                         }
                     }
-                    Ok(out)
-                })?;
-            for worker in computed {
-                for outcome in worker? {
-                    cells.insert(outcome.cell(), outcome);
                 }
+                Ok(out)
+            })?;
+        for worker in computed {
+            for outcome in worker? {
+                cells.insert(outcome.cell(), outcome);
             }
-            if cancel.is_cancelled() {
-                events.flush();
-                return Err(RunError::Cancelled);
-            }
+        }
+        if cancel.is_cancelled() {
+            events.flush();
+            return Err(RunError::Cancelled);
         }
 
         if strict_validate {

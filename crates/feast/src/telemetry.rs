@@ -391,14 +391,17 @@ impl Registry {
         self.admissions_prefiltered.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one slicing run answered from the cross-request slice
-    /// cache.
+    /// Counts one slicing run answered without the DP: from the
+    /// cross-request slice cache, or — in a sweep — by reusing the same
+    /// replication's product from the previous system size because the
+    /// slicing inputs repeat.
     pub fn count_slice_cache_hit(&self) {
         self.slice_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one slicing run that missed the cross-request slice cache
-    /// and ran the DP live.
+    /// Counts one slicing run that ran the DP live: a cross-request slice
+    /// cache miss, or a sweep cell whose slicing inputs differ from the
+    /// previous size's (or that has no previous size to reuse).
     pub fn count_slice_cache_miss(&self) {
         self.slice_cache_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -453,12 +456,14 @@ impl Registry {
         self.admissions_prefiltered.load(Ordering::Relaxed)
     }
 
-    /// Slicing runs answered from the cross-request slice cache.
+    /// Slicing runs answered without the DP (cache hits and sweep
+    /// reuses; see [`count_slice_cache_hit`](Registry::count_slice_cache_hit)).
     pub fn slice_cache_hits(&self) -> u64 {
         self.slice_cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Slicing runs that missed the cross-request slice cache.
+    /// Slicing runs that ran the DP (see
+    /// [`count_slice_cache_miss`](Registry::count_slice_cache_miss)).
     pub fn slice_cache_misses(&self) -> u64 {
         self.slice_cache_misses.load(Ordering::Relaxed)
     }
@@ -786,10 +791,14 @@ pub struct MetricsSnapshot {
     /// Structural amendments that fell back to full rebuild + re-trial.
     #[serde(default)]
     pub admissions_structural_fallbacks: u64,
-    /// Slicing runs answered from the cross-request slice cache.
+    /// Slicing runs answered without the DP: cross-request slice cache
+    /// hits, plus sweep cells that reused the previous system size's
+    /// product of the same replication.
     #[serde(default)]
     pub slice_cache_hits: u64,
-    /// Slicing runs that missed the cross-request slice cache.
+    /// Slicing runs that ran the DP: cross-request slice cache misses,
+    /// plus sweep cells whose slicing inputs were new for their
+    /// replication.
     #[serde(default)]
     pub slice_cache_misses: u64,
     /// Entries evicted from the cross-request slice cache.

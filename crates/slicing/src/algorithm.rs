@@ -161,11 +161,6 @@ impl Slicer {
         self.metric.as_ref()
     }
 
-    /// The estimation strategy, for the incremental replay path.
-    pub(crate) fn estimate(&self) -> &CommEstimate {
-        &self.estimate
-    }
-
     /// Whether the strict-window clamp is enabled.
     pub(crate) fn strict(&self) -> bool {
         self.strict_windows
@@ -174,6 +169,9 @@ impl Slicer {
     /// Distributes end-to-end deadlines over all subtasks of `graph`,
     /// producing a window for every subtask and every non-negligible
     /// communication subtask.
+    ///
+    /// This is [`prepare`](Slicer::prepare) followed by
+    /// [`distribute_prepared`](Slicer::distribute_prepared).
     ///
     /// # Errors
     ///
@@ -185,6 +183,57 @@ impl Slicer {
         graph: &TaskGraph,
         platform: &Platform,
     ) -> Result<DeadlineAssignment, SliceError> {
+        self.distribute_prepared(graph, &self.prepare(graph, platform))
+    }
+
+    /// Everything slicing `graph` reads from `platform`: which messages
+    /// materialize as communication subtasks and at what estimated cost,
+    /// and every node's virtual weight under this slicer's metric.
+    ///
+    /// Two equal inputs prepared by this slicer over the same graph give a
+    /// bit-identical [`distribute_prepared`](Slicer::distribute_prepared)
+    /// result, whatever platforms they were prepared for. Under CCNE the
+    /// PURE, NORM and THRES inputs do not depend on the processor count at
+    /// all — deadlines are distributed before task assignment — so a sweep
+    /// over system sizes can slice each graph once.
+    pub fn prepare(&self, graph: &TaskGraph, platform: &Platform) -> SliceInputs {
+        self.inputs_over(
+            graph,
+            platform,
+            ExpandedGraph::build(graph, &self.estimate, platform),
+        )
+    }
+
+    /// Completes an expanded graph of `graph` (built under this slicer's
+    /// estimate for `platform`, with current task weights) into slicing
+    /// inputs.
+    pub(crate) fn inputs_over(
+        &self,
+        graph: &TaskGraph,
+        platform: &Platform,
+        exp: ExpandedGraph,
+    ) -> SliceInputs {
+        let ctx = MetricContext::for_workload(graph, platform);
+        let vweights = (0..exp.len())
+            .map(|v| self.metric.virtual_time(exp.weight(v), &ctx))
+            .collect();
+        SliceInputs { exp, vweights }
+    }
+
+    /// The slicing loop of Figure 1 over prepared inputs. It reads nothing
+    /// from the platform: `inputs` carries all of it.
+    ///
+    /// `inputs` must come from [`prepare`](Slicer::prepare) on this slicer
+    /// over `graph`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`distribute`](Slicer::distribute).
+    pub fn distribute_prepared(
+        &self,
+        graph: &TaskGraph,
+        inputs: &SliceInputs,
+    ) -> Result<DeadlineAssignment, SliceError> {
         let _span = tracing::debug_span!(
             "distribute",
             metric = self.metric.name(),
@@ -193,16 +242,10 @@ impl Slicer {
         )
         .entered();
 
-        let ctx = MetricContext::for_workload(graph, platform);
-        let exp = ExpandedGraph::build(graph, &self.estimate, platform);
+        let SliceInputs { exp, vweights } = inputs;
         let rule = self.metric.share_rule();
-
         let n = exp.len();
-        let vweights: Vec<f64> = (0..n)
-            .map(|v| self.metric.virtual_time(exp.weight(v), &ctx))
-            .collect();
-
-        let mut state = SliceState::init(graph, &exp);
+        let mut state = SliceState::init(graph, exp);
         let mut search = PathSearch::new(n, exp.max_chain());
         let mut paths = 0usize;
         // Scratch reused across loop iterations: the hot loop runs once per
@@ -212,19 +255,12 @@ impl Slicer {
 
         while state.remaining > 0 {
             let cp = search
-                .find_critical_path(
-                    &exp,
-                    &vweights,
-                    &state.assigned,
-                    &state.rel,
-                    &state.dl,
-                    rule,
-                )
+                .find_critical_path(exp, vweights, &state.assigned, &state.rel, &state.dl, rule)
                 .ok_or(SliceError::NoAnchoredPath)?;
             paths += 1;
             apply_path(
-                &exp,
-                &vweights,
+                exp,
+                vweights,
                 rule,
                 &cp,
                 &mut state,
@@ -241,7 +277,34 @@ impl Slicer {
             "deadline distribution complete"
         );
 
-        finalize(self, graph, &exp, state)
+        finalize(self, graph, exp, state)
+    }
+}
+
+/// The platform-derived inputs of one slicing run, made by
+/// [`Slicer::prepare`]: the expanded graph (which messages materialize as
+/// communication subtasks, and every node's real or estimated weight) plus
+/// each node's virtual weight under the slicer's metric.
+///
+/// Equality compares the expanded structure, the per-node weights, and the
+/// virtual weights bit for bit (`f64::to_bits`), so equal inputs on the
+/// same graph give a bit-identical [`DeadlineAssignment`] by construction.
+#[derive(Debug, Clone)]
+pub struct SliceInputs {
+    pub(crate) exp: ExpandedGraph,
+    pub(crate) vweights: Vec<f64>,
+}
+
+impl PartialEq for SliceInputs {
+    fn eq(&self, other: &SliceInputs) -> bool {
+        self.exp.same_structure(&other.exp)
+            && self.exp.weights() == other.exp.weights()
+            && self.vweights.len() == other.vweights.len()
+            && self
+                .vweights
+                .iter()
+                .zip(&other.vweights)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 }
 
@@ -740,5 +803,86 @@ mod tests {
         // Chain B is more critical: (80-40)/2 = 20 < (100-20)/2 = 40.
         assert_eq!(asg.window(b1).relative_deadline(), Time::new(40));
         assert_eq!(asg.window(a1).relative_deadline(), Time::new(50));
+    }
+
+    fn paper_graph(seed: u64) -> TaskGraph {
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+        generate_seeded(&WorkloadSpec::paper(ExecVariation::Mdet), seed).unwrap()
+    }
+
+    fn ring(n: usize) -> Platform {
+        let topology = platform::Topology::Ring {
+            cost_per_item_hop: Time::new(1),
+        };
+        Platform::homogeneous(n, topology).unwrap()
+    }
+
+    #[test]
+    fn ccne_inputs_of_size_blind_metrics_are_equal_across_sizes() {
+        let g = paper_graph(3);
+        for slicer in [
+            Slicer::bst_pure(),
+            Slicer::bst_norm(),
+            Slicer::ast_thres(1.0),
+        ] {
+            let at_two = slicer.prepare(&g, &Platform::paper(2).unwrap());
+            for n in 3..=16 {
+                let inputs = slicer.prepare(&g, &Platform::paper(n).unwrap());
+                assert!(inputs == at_two, "{} at {n}", slicer.metric_name());
+            }
+        }
+    }
+
+    #[test]
+    fn adapt_inputs_differ_exactly_where_the_surplus_moves_a_weight() {
+        // MET = 20, threshold 25: the 40 is inflated by ξ/N, which changes
+        // with every size.
+        let g = chain(&[10, 40, 10], 240);
+        let adapt = Slicer::ast_adapt();
+        for n in 2..16 {
+            let a = adapt.prepare(&g, &Platform::paper(n).unwrap());
+            let b = adapt.prepare(&g, &Platform::paper(n + 1).unwrap());
+            assert!(a != b, "ADAPT inflation at {n} vs {}", n + 1);
+        }
+        // With the threshold out of reach nothing is inflated, so ξ/N moves
+        // no weight and the inputs repeat.
+        let flat = Slicer::new(MetricKind::Adapt {
+            threshold: crate::ThresholdSpec::Absolute(Time::new(1_000)),
+        });
+        let at_two = flat.prepare(&g, &Platform::paper(2).unwrap());
+        for n in 3..=16 {
+            assert!(flat.prepare(&g, &Platform::paper(n).unwrap()) == at_two);
+        }
+    }
+
+    #[test]
+    fn ccaa_ring_inputs_differ_exactly_where_the_worst_case_cost_changes() {
+        let g = paper_graph(5);
+        let slicer = Slicer::bst_pure().with_estimate(CommEstimate::Ccaa);
+        let mut changes = 0;
+        for n in 2..16 {
+            let (p, q) = (ring(n), ring(n + 1));
+            let same_cost = p.worst_case_cost_per_item() == q.worst_case_cost_per_item();
+            let same_inputs = slicer.prepare(&g, &p) == slicer.prepare(&g, &q);
+            assert_eq!(same_inputs, same_cost, "ring {n} vs {}", n + 1);
+            changes += usize::from(!same_cost);
+        }
+        assert!(changes > 0, "the ring's worst case must grow with its size");
+    }
+
+    #[test]
+    fn equal_inputs_give_equal_assignments() {
+        for seed in 0..8 {
+            let g = paper_graph(seed);
+            for slicer in [Slicer::bst_pure(), Slicer::ast_thres(1.0)] {
+                let small = Platform::paper(2).unwrap();
+                let large = Platform::paper(16).unwrap();
+                let inputs = slicer.prepare(&g, &small);
+                assert!(inputs == slicer.prepare(&g, &large));
+                let reused = slicer.distribute_prepared(&g, &inputs).unwrap();
+                assert_eq!(reused, slicer.distribute(&g, &large).unwrap());
+                assert_eq!(reused, slicer.distribute(&g, &small).unwrap());
+            }
+        }
     }
 }

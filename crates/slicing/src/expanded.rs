@@ -181,6 +181,19 @@ impl ExpandedGraph {
         self.weights[v]
     }
 
+    /// Every node's weight, indexed by node.
+    pub(crate) fn weights(&self) -> &[Time] {
+        &self.weights
+    }
+
+    /// Re-reads every task node's weight from `graph`, which must have the
+    /// subtasks this expanded graph was built from (weights may differ).
+    pub(crate) fn refresh_task_weights(&mut self, graph: &TaskGraph) {
+        for id in graph.subtask_ids() {
+            self.weights[self.task_node[id.index()]] = graph.subtask(id).wcet();
+        }
+    }
+
     /// Successor node indices of `v`.
     #[inline]
     pub(crate) fn succ(&self, v: usize) -> &[u32] {

@@ -72,9 +72,8 @@ use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
 use crate::algorithm::{apply_path, finalize, SliceState};
-use crate::expanded::{ExpKind, ExpandedGraph};
 use crate::path_search::{CriticalPath, PathSearch};
-use crate::{DeadlineAssignment, MetricContext, ShareRule, SliceError, Slicer, Window};
+use crate::{DeadlineAssignment, ShareRule, SliceError, SliceInputs, Slicer, Window};
 
 /// Memoized state of one traced slicing run, consumed and refreshed by
 /// [`Slicer::redistribute`].
@@ -105,8 +104,7 @@ impl SliceMemo {
 struct MemoInner {
     fingerprint: Fingerprint,
     graph_sig: GraphSig,
-    exp: ExpandedGraph,
-    vweights: Vec<f64>,
+    inputs: SliceInputs,
     trace: Vec<IterationTrace>,
     search: PathSearch,
 }
@@ -392,7 +390,6 @@ impl Slicer {
         )
         .entered();
 
-        let ctx = MetricContext::for_workload(graph, platform);
         let rule = self.metric().share_rule();
         let sig = GraphSig::of(graph);
 
@@ -402,42 +399,46 @@ impl Slicer {
         // unchanged subtask/edge signature goes further: the memoized
         // expanded graph is node-for-node identical (the fingerprint pins
         // the platform and estimate, so every communication weight is
-        // too), and the rebuild is skipped entirely.
-        let (exp, old_trace, old_vweights, mut search) = match memo.inner.take() {
+        // too), and the rebuild is skipped: only task weights, which a
+        // WCET delta may have changed, are re-read from the graph.
+        let (inputs, old_trace, old_vweights, mut search) = match memo.inner.take() {
             Some(inner) if inner.graph_sig == sig => {
-                (inner.exp, inner.trace, inner.vweights, inner.search)
+                let SliceInputs { mut exp, vweights } = inner.inputs;
+                exp.refresh_task_weights(graph);
+                let inputs = self.inputs_over(graph, platform, exp);
+                (inputs, inner.trace, vweights, inner.search)
             }
             Some(inner) => {
-                let exp = ExpandedGraph::build(graph, self.estimate(), platform);
-                if inner.exp.same_structure(&exp) {
-                    (exp, inner.trace, inner.vweights, inner.search)
+                let inputs = self.prepare(graph, platform);
+                if inner.inputs.exp.same_structure(&inputs.exp) {
+                    (inputs, inner.trace, inner.inputs.vweights, inner.search)
                 } else {
                     stats.fell_back = true;
-                    let (nodes, chain) = (exp.len(), exp.max_chain());
-                    (exp, Vec::new(), Vec::new(), PathSearch::new(nodes, chain))
+                    let (nodes, chain) = (inputs.exp.len(), inputs.exp.max_chain());
+                    (
+                        inputs,
+                        Vec::new(),
+                        Vec::new(),
+                        PathSearch::new(nodes, chain),
+                    )
                 }
             }
             None => {
-                let exp = ExpandedGraph::build(graph, self.estimate(), platform);
+                let inputs = self.prepare(graph, platform);
                 stats.fell_back = true;
-                let (nodes, chain) = (exp.len(), exp.max_chain());
-                (exp, Vec::new(), Vec::new(), PathSearch::new(nodes, chain))
+                let (nodes, chain) = (inputs.exp.len(), inputs.exp.max_chain());
+                (
+                    inputs,
+                    Vec::new(),
+                    Vec::new(),
+                    PathSearch::new(nodes, chain),
+                )
             }
         };
+        let SliceInputs { exp, vweights } = &inputs;
 
         let n = exp.len();
         let words = n.div_ceil(64);
-        // Task-node weights come from the (possibly mutated) graph, not
-        // the expanded graph, which may be the memoized one.
-        let vweights: Vec<f64> = (0..n)
-            .map(|v| {
-                let w = match exp.kind(v) {
-                    ExpKind::Task(id) => graph.subtask(id).wcet(),
-                    ExpKind::Comm(_) => exp.weight(v),
-                };
-                self.metric().virtual_time(w, &ctx)
-            })
-            .collect();
 
         // Weight dirt for the whole call, split by direction (see module
         // docs): decreases invalidate at winner strength, everything else
@@ -459,7 +460,7 @@ impl Slicer {
             }
         }
 
-        let mut state = SliceState::init(graph, &exp);
+        let mut state = SliceState::init(graph, exp);
         let mut new_trace: Vec<IterationTrace> = Vec::with_capacity(old_trace.len().max(8));
         let mut old_iters = old_trace.into_iter();
         let mut dirty = vec![0u64; words];
@@ -491,8 +492,8 @@ impl Slicer {
                     let start_release = state.rel[s].expect("checked above");
                     let mut dep = vec![0u64; words];
                     let cand = search.search_from(
-                        &exp,
-                        &vweights,
+                        exp,
+                        vweights,
                         &state.dl,
                         s,
                         start_release,
@@ -521,8 +522,8 @@ impl Slicer {
                 });
                 paths += 1;
                 apply_path(
-                    &exp,
-                    &vweights,
+                    exp,
+                    vweights,
                     rule,
                     &cp,
                     &mut state,
@@ -652,8 +653,8 @@ impl Slicer {
                             .expect("best candidate is Some");
                         paths += 1;
                         apply_path(
-                            &exp,
-                            &vweights,
+                            exp,
+                            vweights,
                             rule,
                             cp,
                             &mut state,
@@ -701,8 +702,8 @@ impl Slicer {
                             state.rel[s].expect("cached starts are release-anchored");
                         let mut dep = vec![0u64; words];
                         let cand = search.search_from(
-                            &exp,
-                            &vweights,
+                            exp,
+                            vweights,
                             &state.dl,
                             s,
                             start_release,
@@ -737,8 +738,8 @@ impl Slicer {
                 });
                 paths += 1;
                 apply_path(
-                    &exp,
-                    &vweights,
+                    exp,
+                    vweights,
                     rule,
                     &cp,
                     &mut state,
@@ -805,8 +806,8 @@ impl Slicer {
                     let start_release = state.rel[s].expect("checked above");
                     let mut dep = vec![0u64; words];
                     let cand = search.search_from(
-                        &exp,
-                        &vweights,
+                        exp,
+                        vweights,
                         &state.dl,
                         s,
                         start_release,
@@ -841,8 +842,8 @@ impl Slicer {
             });
             paths += 1;
             apply_path(
-                &exp,
-                &vweights,
+                exp,
+                vweights,
                 rule,
                 &cp,
                 &mut state,
@@ -862,12 +863,11 @@ impl Slicer {
             "incremental deadline distribution complete"
         );
 
-        let assignment = finalize(self, graph, &exp, state)?;
+        let assignment = finalize(self, graph, exp, state)?;
         memo.inner = Some(MemoInner {
             fingerprint: self.fingerprint(platform),
             graph_sig: sig,
-            exp,
-            vweights,
+            inputs,
             trace: new_trace,
             search,
         });

@@ -64,7 +64,7 @@ pub mod metrics;
 mod path_search;
 mod prefilter;
 
-pub use algorithm::Slicer;
+pub use algorithm::{SliceInputs, Slicer};
 pub use assignment::{DeadlineAssignment, SliceViolation, ValidationReport, Window};
 pub use baselines::{distribute_baseline, BaselineStrategy};
 pub use cache::{SliceCache, SliceKey};
@@ -85,6 +85,7 @@ mod send_sync_tests {
     #[test]
     fn public_types_are_send_and_sync() {
         assert_send_sync::<Slicer>();
+        assert_send_sync::<SliceInputs>();
         assert_send_sync::<DeadlineAssignment>();
         assert_send_sync::<Window>();
         assert_send_sync::<MetricKind>();

@@ -295,3 +295,44 @@ fn cancel_races_leave_a_resumable_checkpoint() {
         .unwrap();
     assert_eq!(resumed, fault_free);
 }
+
+#[test]
+fn worker_panics_do_not_leak_a_kept_slice_product_into_the_next_size() {
+    // PURE/CCNE inputs repeat at every size, so every surviving cell after
+    // a panicked one would reuse a kept product if one leaked; ADAPT's
+    // differ at every size, so each cell slices afresh. Either way the
+    // surviving cells must equal the fault-free ones exactly.
+    let plan = FaultPlan::new(0xBEEF).with_fault(FaultSpec::new(FaultSite::WorkerPanic, 0.4));
+    for metric in [MetricKind::pure(), MetricKind::adapt()] {
+        let scenario = Scenario::paper(
+            metric.label(),
+            WorkloadSpec::paper(ExecVariation::Mdet),
+            metric,
+            CommEstimate::Ccne,
+        )
+        .with_replications(REPS)
+        .with_system_sizes(vec![2, 3, 4, 8]);
+        let fault_free = Runner::new(scenario.clone())
+            .threads(2)
+            .run_partial()
+            .unwrap();
+        let faulted = Runner::new(scenario)
+            .threads(2)
+            .faults(plan.clone())
+            .run_partial()
+            .unwrap();
+        assert!(!faulted.failed.is_empty(), "the plan must fault some cell");
+        let survivors: Vec<_> = fault_free
+            .records
+            .iter()
+            .filter(|r| {
+                !faulted
+                    .failed
+                    .iter()
+                    .any(|f| (f.system_size, f.replication) == (r.system_size, r.replication))
+            })
+            .cloned()
+            .collect();
+        assert_eq!(faulted.records, survivors, "{}", metric.label());
+    }
+}
