@@ -52,7 +52,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -70,9 +70,9 @@ use taskgraph::{TaskGraph, Time};
 use crate::error::AdmitError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
-use crate::runner::{fingerprint, seal};
+use crate::runner::{append_line, fingerprint, seal, sealed_line};
 use crate::scenario::Scenario;
-use crate::{telemetry, RunError, Runner};
+use crate::{telemetry, RunError};
 
 /// Configuration of an admission controller or service: the pipeline
 /// scenario, the platform size, and the service's operational bounds.
@@ -229,7 +229,9 @@ impl AdmitConfig {
 ///
 /// Requests are processed strictly in submission order; the id names the
 /// resident for later amendment and must be unique among live residents.
-#[derive(Debug, Clone, PartialEq)]
+/// Its serialized form is what the write-ahead log seals (the graph is
+/// written in full: `Arc` serializes transparently).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AdmitRequest {
     /// Admit a new task graph arriving at absolute time `origin`.
     Admit {
@@ -528,11 +530,9 @@ struct Resident {
     horizon: Time,
 }
 
-/// One line of an admission write-ahead log.
-// The variant size gap is harmless: a `WalLine` is a transient codec
-// value (one per append / one per loaded line), never stored in bulk,
-// and the vendored serde has no `Box` impls to shrink `Sealed` with.
-#[allow(clippy::large_enum_variant)]
+/// One line of an admission write-ahead log. Loading parses it; appends
+/// write `Sealed` lines through [`sealed_line`], which produces the same
+/// bytes from one serialization of the record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum WalLine {
     /// First line: identifies the configuration the records belong to.
@@ -552,55 +552,6 @@ enum WalLine {
     },
 }
 
-/// The wire form of an [`AdmitRequest`]: owns its graph, because the
-/// vendored serde has no `Arc` impls and the log must be self-contained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum WalRequest {
-    /// An [`AdmitRequest::Admit`].
-    Admit {
-        /// Resident id.
-        id: u64,
-        /// The arriving graph, owned.
-        graph: TaskGraph,
-        /// Absolute arrival time.
-        origin: Time,
-    },
-    /// An [`AdmitRequest::Amend`].
-    Amend {
-        /// Resident id.
-        id: u64,
-        /// The amendment.
-        delta: GraphDelta,
-    },
-}
-
-impl WalRequest {
-    fn of(request: &AdmitRequest) -> WalRequest {
-        match request {
-            AdmitRequest::Admit { id, graph, origin } => WalRequest::Admit {
-                id: *id,
-                graph: (**graph).clone(),
-                origin: *origin,
-            },
-            AdmitRequest::Amend { id, delta } => WalRequest::Amend {
-                id: *id,
-                delta: delta.clone(),
-            },
-        }
-    }
-
-    fn into_request(self) -> AdmitRequest {
-        match self {
-            WalRequest::Admit { id, graph, origin } => AdmitRequest::Admit {
-                id,
-                graph: Arc::new(graph),
-                origin,
-            },
-            WalRequest::Amend { id, delta } => AdmitRequest::Amend { id, delta },
-        }
-    }
-}
-
 /// One sealed record of the admission write-ahead log: a request, its
 /// outcome, and the state digest *after* the outcome was applied — the
 /// per-record self-check [`AdmissionController::recover`] verifies while
@@ -610,7 +561,7 @@ struct WalRecord {
     /// Submission sequence (records are contiguous from 0).
     seq: u64,
     /// The concluded request.
-    request: WalRequest,
+    request: AdmitRequest,
     /// How it was concluded.
     outcome: AdmitOutcome,
     /// [`CommittedState::digest`] after this record's outcome.
@@ -684,11 +635,12 @@ fn fault_fires(
 ///
 /// The first line is a header carrying a configuration fingerprint;
 /// every further line seals one [`AdmitRequest`] + [`AdmitOutcome`] +
-/// post-outcome state digest. Appends `flush` to the OS per record, so a
-/// killed process loses at most the record in flight; transient append
-/// failures retry with bounded exponential backoff (the Runner's
-/// [`CHECKPOINT_RETRY_LIMIT`](Runner::CHECKPOINT_RETRY_LIMIT) /
-/// [`CHECKPOINT_BACKOFF_BASE`](Runner::CHECKPOINT_BACKOFF_BASE) policy).
+/// post-outcome state digest. Each append reaches the OS before its
+/// verdict returns, so a killed process loses at most the record in
+/// flight; transient append failures retry with bounded exponential
+/// backoff, resuming after any partially written prefix (the Runner's
+/// [`CHECKPOINT_RETRY_LIMIT`](crate::Runner::CHECKPOINT_RETRY_LIMIT) /
+/// [`CHECKPOINT_BACKOFF_BASE`](crate::Runner::CHECKPOINT_BACKOFF_BASE) policy).
 /// On load, a torn *final* line is tolerated (the in-flight record a
 /// crash tore is simply not yet committed), and reopening for append
 /// truncates the fragment first so the next record starts a fresh line;
@@ -697,7 +649,9 @@ fn fault_fires(
 /// is detected, never silently replayed.
 #[derive(Debug)]
 pub struct AdmissionWal {
-    writer: BufWriter<File>,
+    /// Unbuffered: each record goes out in one
+    /// [`append_line`](crate::runner::append_line).
+    file: File,
     path: PathBuf,
     /// Sequence the next sealed record will carry.
     seq: u64,
@@ -714,7 +668,7 @@ impl AdmissionWal {
             .truncate(true)
             .open(path)?;
         let mut wal = AdmissionWal {
-            writer: BufWriter::new(file),
+            file,
             path: path.to_path_buf(),
             seq: 0,
             system_size: config.system_size,
@@ -725,8 +679,7 @@ impl AdmissionWal {
             label: config.scenario.label.clone(),
         })
         .expect("plain data serializes");
-        writeln!(wal.writer, "{header}")?;
-        wal.writer.flush()?;
+        wal.file.write_all(format!("{header}\n").as_bytes())?;
         Ok(wal)
     }
 
@@ -755,29 +708,25 @@ impl AdmissionWal {
             file.set_len(valid_len)?;
         }
         let mut wal = AdmissionWal {
-            writer: BufWriter::new(file),
+            file,
             path: path.to_path_buf(),
             seq,
             system_size: config.system_size,
             fault: config.fault_plan.clone(),
         };
         if !terminated {
-            wal.writer.write_all(b"\n")?;
-            wal.writer.flush()?;
+            wal.file.write_all(b"\n")?;
         }
         Ok(wal)
     }
 
     /// Seals one concluded request to disk before its verdict is
-    /// returned. Retries transiently failing appends with exponential
-    /// backoff; an error is returned only once every retry is exhausted.
+    /// returned. Transiently failing appends are retried by
+    /// [`append_line`](crate::runner::append_line); an error is returned
+    /// only once every retry is exhausted.
     fn append(&mut self, record: &WalRecord) -> Result<(), RunError> {
-        let line = WalLine::Sealed {
-            crc: seal(record),
-            record: record.clone(),
-        };
         #[allow(unused_mut)] // mutated only by the fault-inject hook below
-        let mut text = serde_json::to_string(&line).expect("plain data serializes");
+        let mut text = sealed_line("Sealed", record);
         #[cfg(feature = "fault-inject")]
         if fault_fires(
             &self.fault,
@@ -788,42 +737,34 @@ impl AdmissionWal {
         ) {
             crate::runner::corrupt_digit(&mut text);
         }
+        text.push('\n');
 
-        let mut attempt: u64 = 0;
-        loop {
-            let injected = fault_fires(
-                &self.fault,
-                FaultSite::AdmitLogIo,
-                self.system_size,
-                record.seq,
-                attempt,
-            );
-            let result: Result<(), std::io::Error> = if injected {
-                Err(std::io::Error::other("injected admission log failure"))
-            } else {
-                writeln!(self.writer, "{text}").and_then(|()| self.writer.flush())
-            };
-            match result {
-                Ok(()) => {
-                    self.seq = record.seq + 1;
-                    return Ok(());
-                }
-                Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
-                    let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
-                    tracing::warn!(
-                        path = %self.path.display(),
-                        seq = record.seq,
-                        attempt = attempt,
-                        backoff_ms = backoff.as_millis() as u64,
-                        "admission log append failed ({e}); retrying"
-                    );
-                    telemetry::global().count_admission_log_retry();
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        append_line(
+            &mut self.file,
+            text.as_bytes(),
+            |attempt| {
+                fault_fires(
+                    &self.fault,
+                    FaultSite::AdmitLogIo,
+                    self.system_size,
+                    record.seq,
+                    attempt,
+                )
+                .then(|| std::io::Error::other("injected admission log failure"))
+            },
+            |attempt, backoff, e| {
+                tracing::warn!(
+                    path = %self.path.display(),
+                    seq = record.seq,
+                    attempt = attempt,
+                    backoff_ms = backoff.as_millis() as u64,
+                    "admission log append failed ({e}); retrying"
+                );
+                telemetry::global().count_admission_log_retry();
+            },
+        )?;
+        self.seq = record.seq + 1;
+        Ok(())
     }
 
     /// Loads every sealed record from the log at `path`, verifying the
@@ -1085,7 +1026,6 @@ impl AdmissionController {
                 outcome: recorded,
                 digest,
             } = record;
-            let request = request.into_request();
             let outcome = if recorded.is_environmental() {
                 recorded.clone()
             } else {
@@ -1226,7 +1166,7 @@ impl AdmissionController {
             let outcome = AdmitOutcome::of(&result);
             let record = WalRecord {
                 seq: self.wal.as_ref().map_or(0, |wal| wal.seq),
-                request: WalRequest::of(request),
+                request: request.clone(),
                 outcome,
                 digest: self.state.digest(),
             };
@@ -2534,6 +2474,212 @@ mod tests {
         let (again, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
         assert_eq!(log.outcomes.len(), 3);
         assert_eq!(again.digest(), digest);
+    }
+
+    /// One WAL record per request kind × outcome kind: admit and amend
+    /// requests, each concluded as an admit verdict, a reject verdict, a
+    /// refusal, a shed and a worker failure.
+    fn every_kind_of_wal_record() -> Vec<WalRecord> {
+        let verdict = |admitted| AdmitVerdict {
+            id: 4,
+            admitted,
+            max_lateness: Time::new(-7),
+            end_to_end: Time::new(if admitted { -3 } else { 12 }),
+            makespan: Time::new(480),
+            violations: 0,
+            repaired: !admitted,
+            residents: 3,
+        };
+        let outcomes = [
+            AdmitOutcome::Verdict(verdict(true)),
+            AdmitOutcome::Verdict(verdict(false)),
+            AdmitOutcome::Refused(Refusal::DuplicateId { id: 4 }),
+            AdmitOutcome::Shed { waited_us: 1234 },
+            AdmitOutcome::Failed {
+                stage: "distribute".to_owned(),
+            },
+        ];
+        let requests = [
+            AdmitRequest::Admit {
+                id: 4,
+                graph: graph(4),
+                origin: Time::new(300),
+            },
+            AdmitRequest::Amend {
+                id: 4,
+                delta: GraphDelta::new().push(DeltaOp::SetWcet {
+                    subtask: SubtaskId::new(2),
+                    wcet: Time::new(25),
+                }),
+            },
+        ];
+        let mut records = Vec::new();
+        for request in &requests {
+            for outcome in &outcomes {
+                records.push(WalRecord {
+                    seq: records.len() as u64,
+                    request: request.clone(),
+                    outcome: outcome.clone(),
+                    digest: 0xFEA5_7000 + records.len() as u64,
+                });
+            }
+        }
+        records
+    }
+
+    #[test]
+    fn sealed_line_equals_the_derived_wal_encoding() {
+        for record in every_kind_of_wal_record() {
+            let derived = WalLine::Sealed {
+                crc: seal(&record),
+                record: record.clone(),
+            };
+            assert_eq!(
+                sealed_line("Sealed", &record),
+                serde_json::to_string(&derived).unwrap(),
+                "record {}",
+                record.seq
+            );
+        }
+    }
+
+    #[test]
+    fn admit_requests_serialize_their_graph_inline() {
+        // `Arc` is transparent: an admit request encodes its whole graph
+        // in place, so a log is self-contained.
+        let shared = graph(5);
+        let request = AdmitRequest::Admit {
+            id: 5,
+            graph: Arc::clone(&shared),
+            origin: Time::new(40),
+        };
+        let expected = format!(
+            r#"{{"Admit":{{"id":5,"graph":{},"origin":{}}}}}"#,
+            serde_json::to_string(&*shared).unwrap(),
+            serde_json::to_string(&Time::new(40)).unwrap()
+        );
+        let text = serde_json::to_string(&request).unwrap();
+        assert_eq!(text, expected);
+        assert_eq!(
+            serde_json::from_str::<AdmitRequest>(&text).unwrap(),
+            request
+        );
+    }
+
+    /// A durable controller's log after admits, an amendment, a reject
+    /// and a refusal; returns the final digest.
+    fn write_mixed_log(path: &Path) -> u64 {
+        let mut durable = AdmissionController::new(config(8).durable(path)).unwrap();
+        let mut id = 1;
+        while durable.admit(id, graph(id), Time::ZERO).unwrap().admitted {
+            id += 1;
+            assert!(id < 100, "platform never saturated");
+        }
+        durable
+            .amend(
+                1,
+                &GraphDelta::new().push(DeltaOp::SetWcet {
+                    subtask: SubtaskId::new(2),
+                    wcet: Time::new(25),
+                }),
+            )
+            .unwrap();
+        assert!(durable.admit(1, graph(9), Time::ZERO).is_err());
+        durable.digest()
+    }
+
+    #[test]
+    fn a_log_written_through_the_derived_encoding_recovers_bit_identically() {
+        let wal = TempPath::new("derived-written");
+        let digest = write_mixed_log(&wal.0);
+        let written = std::fs::read(&wal.0).unwrap();
+
+        // Re-encode every record through the derived `WalLine` encoder.
+        let header = written.split(|&b| b == b'\n').next().unwrap();
+        let mut derived = header.to_vec();
+        derived.push(b'\n');
+        let loaded = AdmissionWal::load(&wal.0, &config(8)).unwrap();
+        for record in &loaded.records {
+            let line = WalLine::Sealed {
+                crc: seal(record),
+                record: record.clone(),
+            };
+            derived.extend_from_slice(serde_json::to_string(&line).unwrap().as_bytes());
+            derived.push(b'\n');
+        }
+        assert_eq!(derived, written, "the log format changed");
+
+        let old = TempPath::new("derived-old");
+        std::fs::write(&old.0, &derived).unwrap();
+        let (recovered, log) = AdmissionController::recover(config(8), &old.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
+        assert_eq!(log.outcomes.len(), loaded.records.len());
+        assert!(log.matches(&log.replay(&config(8)).unwrap()));
+    }
+
+    /// Accepts only the first `prefix` bytes of its first write, fails the
+    /// next call once, then writes through: a transient error (ENOSPC, say)
+    /// that tears an append partway.
+    struct TornOnce {
+        file: File,
+        prefix: Option<usize>,
+        fail_next: bool,
+    }
+
+    impl Write for TornOnce {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if std::mem::take(&mut self.fail_next) {
+                return Err(std::io::Error::other("no space left on device"));
+            }
+            match self.prefix.take() {
+                Some(prefix) => {
+                    self.fail_next = true;
+                    self.file.write(&buf[..prefix.min(buf.len())])
+                }
+                None => self.file.write(buf),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn a_retried_partial_write_seals_exactly_one_copy() {
+        let wal = TempPath::new("partial-source");
+        let digest = write_mixed_log(&wal.0);
+        let intact = std::fs::read(&wal.0).unwrap();
+        let text = std::str::from_utf8(&intact).unwrap();
+        let last_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+
+        // Everything but the last record, then the last record through a
+        // writer that tears it after 100 bytes and fails once.
+        let torn = TempPath::new("partial-torn");
+        std::fs::write(&torn.0, &intact[..last_start]).unwrap();
+        let mut writer = TornOnce {
+            file: OpenOptions::new().append(true).open(&torn.0).unwrap(),
+            prefix: Some(100),
+            fail_next: false,
+        };
+        let mut retries = 0;
+        append_line(
+            &mut writer,
+            &intact[last_start..],
+            |_| None,
+            |_, _, _| retries += 1,
+        )
+        .unwrap();
+        drop(writer);
+
+        assert_eq!(retries, 1);
+        assert_eq!(
+            std::fs::read(&torn.0).unwrap(),
+            intact,
+            "one copy, no fragment"
+        );
+        let (recovered, _) = AdmissionController::recover(config(8), &torn.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
     }
 
     #[test]

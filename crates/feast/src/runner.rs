@@ -54,7 +54,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write as _};
+use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -784,7 +784,9 @@ fn run_once(
     Ok(record)
 }
 
-/// One line of a `checkpoint.jsonl` file.
+/// One line of a `checkpoint.jsonl` file. Loading parses it; appends
+/// write `Sealed` / `Failed` lines through [`sealed_line`], which produces
+/// the same bytes from one serialization of the record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum CheckpointLine {
     /// First line: identifies the scenario the records belong to.
@@ -818,23 +820,40 @@ enum CheckpointLine {
     },
 }
 
-/// IEEE CRC32 (the zlib/PNG polynomial), bitwise — checkpoint lines are
-/// short, so no table is needed.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// The IEEE CRC32 (zlib/PNG, reflected polynomial `0xEDB8_8320`) lookup
+/// table: entry `n` is the CRC register after shifting byte `n` through
+/// eight bitwise steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut crc = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            bit += 1;
         }
+        table[n] = crc;
+        n += 1;
     }
-    !crc
+    table
+};
+
+/// IEEE CRC32 (the zlib/PNG polynomial), one table lookup per byte: an
+/// admission log record carries its whole task graph (several KB), so a
+/// bit-at-a-time loop would dominate the cost of sealing it.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        (crc >> 8) ^ CRC32_TABLE[usize::from((crc as u8) ^ b)]
+    })
 }
 
 /// The CRC32 sealing a record: computed over the record's own canonical
 /// JSON (not the enclosing line), so any value-altering corruption —
 /// a flipped digit included — changes either the payload or the stored
 /// checksum, and re-serializing the parsed record exposes the mismatch.
+/// Loading verifies every record with it; writing goes through
+/// [`sealed_line`], which seals the same bytes it writes.
 pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
     crc32(
         serde_json::to_string(record)
@@ -843,19 +862,81 @@ pub(crate) fn seal<T: Serialize>(record: &T) -> u32 {
     )
 }
 
+/// One sealed log line, without its newline:
+/// `{"<tag>":{"crc":N,"record":<record>}}` — byte-identical to the derived
+/// encoding of a `tag { crc, record }` enum variant, but built from a
+/// single serialization of `record` that both the CRC and the line reuse.
+/// The Runner checkpoint and the admission log both write through it.
+/// `tag` must be a plain identifier (a variant name), so it needs no JSON
+/// escaping.
+pub(crate) fn sealed_line<T: Serialize>(tag: &str, record: &T) -> String {
+    let body = serde_json::to_string(record).expect("plain data serializes");
+    let crc = crc32(body.as_bytes());
+    format!("{{\"{tag}\":{{\"crc\":{crc},\"record\":{body}}}}}")
+}
+
+/// Appends `line` (newline included) to `writer` and flushes it, retrying
+/// a failed attempt with exponential backoff
+/// ([`Runner::CHECKPOINT_RETRY_LIMIT`] / [`Runner::CHECKPOINT_BACKOFF_BASE`]).
+/// A retry resumes after the bytes the writer already accepted, so a write
+/// that fails partway leaves neither a fragment nor a second copy of the
+/// line. `inject(attempt)` is the fault hook: an error it returns fails
+/// that attempt before any byte is written. `on_retry(attempt, backoff,
+/// error)` reports each retry before its backoff sleep.
+pub(crate) fn append_line(
+    writer: &mut impl Write,
+    line: &[u8],
+    mut inject: impl FnMut(u64) -> Option<std::io::Error>,
+    mut on_retry: impl FnMut(u64, Duration, &std::io::Error),
+) -> std::io::Result<()> {
+    let mut written = 0;
+    let mut attempt: u64 = 0;
+    loop {
+        let result = match inject(attempt) {
+            Some(e) => Err(e),
+            None => write_rest(writer, line, &mut written),
+        };
+        match result {
+            Ok(()) => return Ok(()),
+            Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
+                let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
+                on_retry(attempt, backoff, &e);
+                std::thread::sleep(backoff);
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Writes `line[*written..]`, advancing `written` by every byte the writer
+/// accepts (also when a later write fails), then flushes.
+fn write_rest(writer: &mut impl Write, line: &[u8], written: &mut usize) -> std::io::Result<()> {
+    while *written < line.len() {
+        match writer.write(&line[*written..]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => *written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    writer.flush()
+}
+
 /// An append-only, crash-tolerant JSONL checkpoint.
 struct CheckpointWriter {
-    writer: Mutex<BufWriter<File>>,
+    /// Unbuffered: each record goes out in one [`append_line`], and the
+    /// lock is held across its retries, so a resumed partial write is
+    /// never interleaved with another worker's record.
+    file: Mutex<File>,
     path: PathBuf,
 }
 
 impl CheckpointWriter {
     /// Appends one outcome and flushes it to the OS, so a killed process
     /// loses at most the replication in flight. Transient I/O failures
-    /// are retried with exponential backoff
-    /// ([`Runner::CHECKPOINT_RETRY_LIMIT`] /
-    /// [`Runner::CHECKPOINT_BACKOFF_BASE`]); a failure that survives
-    /// every retry aborts the run with a typed I/O error.
+    /// are retried by [`append_line`]; a failure that survives every
+    /// retry aborts the run with a typed I/O error.
     fn append(
         &self,
         outcome: &ReplicationOutcome,
@@ -863,49 +944,37 @@ impl CheckpointWriter {
         events: &EventScope,
     ) -> Result<(), RunError> {
         let (size, rep) = outcome.cell();
-        let line = match outcome {
-            ReplicationOutcome::Ok(record) => CheckpointLine::Sealed {
-                crc: seal(record),
-                record: *record,
-            },
-            ReplicationOutcome::Failed(record) => CheckpointLine::Failed {
-                crc: seal(record),
-                record: record.clone(),
-            },
-        };
         #[allow(unused_mut)] // mutated only by the fault-inject hook below
-        let mut text = serde_json::to_string(&line).expect("plain data serializes");
+        let mut text = match outcome {
+            ReplicationOutcome::Ok(record) => sealed_line("Sealed", record),
+            ReplicationOutcome::Failed(record) => sealed_line("Failed", record),
+        };
         #[cfg(feature = "fault-inject")]
         if fault.fires(FaultSite::CheckpointCorrupt, size, rep, 0, events) {
             corrupt_digit(&mut text);
         }
+        text.push('\n');
 
-        let mut attempt: u64 = 0;
-        loop {
-            let injected = fault.fires(FaultSite::CheckpointIo, size, rep, attempt, events);
-            let result: Result<(), std::io::Error> = if injected {
-                Err(std::io::Error::other("injected checkpoint write failure"))
-            } else {
-                let mut writer = self.writer.lock().expect("checkpoint writer poisoned");
-                writeln!(writer, "{text}").and_then(|()| writer.flush())
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt < u64::from(Runner::CHECKPOINT_RETRY_LIMIT) => {
-                    let backoff = Runner::CHECKPOINT_BACKOFF_BASE * 2u32.pow(attempt as u32);
-                    tracing::warn!(
-                        path = %self.path.display(),
-                        attempt = attempt,
-                        backoff_ms = backoff.as_millis() as u64,
-                        "checkpoint append failed ({e}); retrying"
-                    );
-                    telemetry::global().count_checkpoint_retry();
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let mut file = self.file.lock().expect("checkpoint writer poisoned");
+        append_line(
+            &mut *file,
+            text.as_bytes(),
+            |attempt| {
+                fault
+                    .fires(FaultSite::CheckpointIo, size, rep, attempt, events)
+                    .then(|| std::io::Error::other("injected checkpoint write failure"))
+            },
+            |attempt, backoff, e| {
+                tracing::warn!(
+                    path = %self.path.display(),
+                    attempt = attempt,
+                    backoff_ms = backoff.as_millis() as u64,
+                    "checkpoint append failed ({e}); retrying"
+                );
+                telemetry::global().count_checkpoint_retry();
+            },
+        )
+        .map_err(RunError::from)
     }
 }
 
@@ -1033,11 +1102,7 @@ fn open_checkpoint(
         Err(e) => return Err(e.into()),
     };
 
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let writer = CheckpointWriter {
-        writer: Mutex::new(BufWriter::new(file)),
-        path: path.to_path_buf(),
-    };
+    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
     if !existing {
         let header = serde_json::to_string(&CheckpointLine::Header {
             fingerprint: fp,
@@ -1045,12 +1110,12 @@ fn open_checkpoint(
             base_seed: scenario.base_seed,
         })
         .expect("plain data serializes");
-        let mut w = writer.writer.lock().expect("checkpoint writer poisoned");
-        writeln!(w, "{header}")?;
-        w.flush()?;
-        drop(w);
+        file.write_all(format!("{header}\n").as_bytes())?;
     }
-    Ok(writer)
+    Ok(CheckpointWriter {
+        file: Mutex::new(file),
+        path: path.to_path_buf(),
+    })
 }
 
 /// Splits `items` into at most `threads` contiguous chunks and runs
@@ -1950,8 +2015,56 @@ mod tests {
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The bit-at-a-time IEEE CRC32: the reference the table-driven
+    /// [`crc32`] must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_crc32_equals_the_bitwise_reference(len in 0usize..4096, seed in 0u64..u64::MAX) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
+    }
+
+    #[test]
+    fn sealed_line_equals_the_derived_checkpoint_encoding() {
+        let ok = record(8, 3, -12.25, 0);
+        let derived = CheckpointLine::Sealed {
+            crc: seal(&ok),
+            record: ok,
+        };
+        assert_eq!(
+            sealed_line("Sealed", &ok),
+            serde_json::to_string(&derived).unwrap()
+        );
+        let failed = failure(4, 1);
+        let derived = CheckpointLine::Failed {
+            crc: seal(&failed),
+            record: failed.clone(),
+        };
+        assert_eq!(
+            sealed_line("Failed", &failed),
+            serde_json::to_string(&derived).unwrap()
+        );
     }
 
     fn record(size: usize, rep: usize, lateness: f64, violations: usize) -> ReplicationRecord {
