@@ -24,11 +24,13 @@
 //!   through a fresh sequential controller ([`AdmissionLog::replay`])
 //!   reproduces bit-identical verdicts — the determinism contract tests
 //!   and load harnesses check.
-//! * [`AdmissionWal`] — the durable half of the transcript: every
+//! * The write-ahead log — the durable half of the transcript: every
 //!   concluded request is CRC32-sealed to an append-only JSONL
 //!   write-ahead log *before* its verdict is returned, and
 //!   [`AdmissionController::recover`] rebuilds the committed state from
-//!   that log after a crash, bit-identical to the pre-crash digest.
+//!   that log after the process is killed, bit-identical to the pre-kill
+//!   digest. The log is not fsynced, so an OS crash or power loss is not
+//!   covered.
 //!
 //! The service is built to *degrade, not die*: a slicer-worker panic
 //! becomes a typed [`Failed`](AdmitOutcome::Failed) outcome and the
@@ -51,8 +53,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -70,8 +70,9 @@ use taskgraph::{TaskGraph, Time};
 use crate::error::AdmitError;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::pipeline::{Pipeline, SharedSliceCache, SliceOutput, Sliced, Verdict};
-use crate::runner::{append_line, fingerprint, seal, sealed_line};
+use crate::runner::fingerprint;
 use crate::scenario::Scenario;
+use crate::sealed_log::{self, sealed_line, Appender, Loaded, Tail};
 use crate::{telemetry, RunError};
 
 /// Configuration of an admission controller or service: the pipeline
@@ -108,8 +109,8 @@ pub struct AdmitConfig {
     pub decision_budget: Option<Duration>,
     /// Path of the durable write-ahead log. `Some` makes every concluded
     /// request durable before its verdict is returned (see
-    /// [`AdmissionWal`]); `None` (the default) keeps the transcript
-    /// in-memory only.
+    /// [`AdmissionController::recover`]); `None` (the default) keeps the
+    /// transcript in-memory only.
     pub wal_path: Option<PathBuf>,
     /// Deterministic fault plan for the admission fault sites. Only
     /// consulted when the `fault-inject` cargo feature is enabled;
@@ -530,26 +531,14 @@ struct Resident {
     horizon: Time,
 }
 
-/// One line of an admission write-ahead log. Loading parses it; appends
-/// write `Sealed` lines through [`sealed_line`], which produces the same
-/// bytes from one serialization of the record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum WalLine {
-    /// First line: identifies the configuration the records belong to.
-    Header {
-        /// Configuration fingerprint (see [`wal_fingerprint`]).
-        fingerprint: u64,
-        /// Scenario label, for human readers of the file.
-        label: String,
-    },
-    /// One concluded request, sealed with the CRC32 of the record's
-    /// canonical JSON so silent corruption is detected on recovery.
-    Sealed {
-        /// IEEE CRC32 of `serde_json::to_string(&record)`.
-        crc: u32,
-        /// The concluded request.
-        record: WalRecord,
-    },
+/// The header line of an admission write-ahead log: identifies the
+/// configuration the sealed `Sealed` ([`WalRecord`]) lines belong to.
+#[derive(Serialize)]
+struct WalHeader {
+    /// Configuration fingerprint (see [`wal_fingerprint`]).
+    fingerprint: u64,
+    /// Scenario label, for human readers of the file.
+    label: String,
 }
 
 /// One sealed record of the admission write-ahead log: a request, its
@@ -629,29 +618,17 @@ fn fault_fires(
     false
 }
 
-/// The admission service's durable transcript: an append-only,
-/// CRC32-sealed JSONL write-ahead log (the same on-disk discipline as the
-/// Runner's checkpoints).
+/// The admission service's durable transcript: a
+/// [sealed log](crate::sealed_log) — the on-disk format, torn-tail repair
+/// and retry policy of the Runner's checkpoints.
 ///
-/// The first line is a header carrying a configuration fingerprint;
-/// every further line seals one [`AdmitRequest`] + [`AdmitOutcome`] +
-/// post-outcome state digest. Each append reaches the OS before its
-/// verdict returns, so a killed process loses at most the record in
-/// flight; transient append failures retry with bounded exponential
-/// backoff, resuming after any partially written prefix (the Runner's
-/// [`CHECKPOINT_RETRY_LIMIT`](crate::Runner::CHECKPOINT_RETRY_LIMIT) /
-/// [`CHECKPOINT_BACKOFF_BASE`](crate::Runner::CHECKPOINT_BACKOFF_BASE) policy).
-/// On load, a torn *final* line is tolerated (the in-flight record a
-/// crash tore is simply not yet committed), and reopening for append
-/// truncates the fragment first so the next record starts a fresh line;
-/// any other unreadable or seal-mismatching line is a typed
-/// [`CheckpointCorrupt`](RunError::CheckpointCorrupt) error — corruption
-/// is detected, never silently replayed.
+/// The header carries a configuration fingerprint; every further line
+/// seals one [`AdmitRequest`] + [`AdmitOutcome`] + post-outcome state
+/// digest. Each append reaches the OS before its verdict returns, so a
+/// killed process loses at most the record in flight.
 #[derive(Debug)]
-pub struct AdmissionWal {
-    /// Unbuffered: each record goes out in one
-    /// [`append_line`](crate::runner::append_line).
-    file: File,
+struct AdmissionWal {
+    log: Appender,
     path: PathBuf,
     /// Sequence the next sealed record will carry.
     seq: u64,
@@ -660,70 +637,37 @@ pub struct AdmissionWal {
 }
 
 impl AdmissionWal {
-    /// Creates (truncating) the log at `path` and writes its header.
-    fn create(path: &Path, config: &AdmitConfig) -> Result<AdmissionWal, RunError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let mut wal = AdmissionWal {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-            system_size: config.system_size,
-            fault: config.fault_plan.clone(),
-        };
-        let header = serde_json::to_string(&WalLine::Header {
-            fingerprint: wal_fingerprint(config),
-            label: config.scenario.label.clone(),
-        })
-        .expect("plain data serializes");
-        wal.file.write_all(format!("{header}\n").as_bytes())?;
-        Ok(wal)
-    }
-
-    /// Reopens the log at `path` for appending after recovery replayed
-    /// `seq` sealed records from it. Anything past `valid_len` — the torn
-    /// tail a crash left behind — is truncated first, and a final record
-    /// that survived minus its newline (`terminated == false`) gets its
-    /// terminator restored, so the next append always starts a fresh
-    /// line instead of merging with the fragment.
-    fn reopen(
+    /// Attaches to the log at `path`: created (truncating) with a fresh
+    /// header, or — after recovery replayed `seq` records from it —
+    /// reopened past its valid prefix `tail`.
+    fn open(
         path: &Path,
         config: &AdmitConfig,
-        seq: u64,
-        valid_len: u64,
-        terminated: bool,
+        recovered: Option<(Tail, u64)>,
     ) -> Result<AdmissionWal, RunError> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len > valid_len {
-            tracing::warn!(
-                path = %path.display(),
-                kept = valid_len,
-                dropped = len - valid_len,
-                "truncating torn admission log tail before reopening for append"
-            );
-            file.set_len(valid_len)?;
-        }
-        let mut wal = AdmissionWal {
-            file,
+        let (log, seq) = match recovered {
+            None => {
+                let header = WalHeader {
+                    fingerprint: wal_fingerprint(config),
+                    label: config.scenario.label.clone(),
+                };
+                (Appender::create(path, &header)?, 0)
+            }
+            Some((tail, seq)) => (Appender::reopen(path, tail)?, seq),
+        };
+        Ok(AdmissionWal {
+            log,
             path: path.to_path_buf(),
             seq,
             system_size: config.system_size,
             fault: config.fault_plan.clone(),
-        };
-        if !terminated {
-            wal.file.write_all(b"\n")?;
-        }
-        Ok(wal)
+        })
     }
 
     /// Seals one concluded request to disk before its verdict is
     /// returned. Transiently failing appends are retried by
-    /// [`append_line`](crate::runner::append_line); an error is returned
-    /// only once every retry is exhausted.
+    /// [`Appender::append`]; an error is returned only once every retry is
+    /// exhausted, and then the log holds no fragment of the record.
     fn append(&mut self, record: &WalRecord) -> Result<(), RunError> {
         #[allow(unused_mut)] // mutated only by the fault-inject hook below
         let mut text = sealed_line("Sealed", record);
@@ -735,12 +679,11 @@ impl AdmissionWal {
             record.seq,
             0,
         ) {
-            crate::runner::corrupt_digit(&mut text);
+            crate::sealed_log::corrupt_digit(&mut text);
         }
         text.push('\n');
 
-        append_line(
-            &mut self.file,
+        self.log.append(
             text.as_bytes(),
             |attempt| {
                 fault_fires(
@@ -768,123 +711,30 @@ impl AdmissionWal {
     }
 
     /// Loads every sealed record from the log at `path`, verifying the
-    /// header fingerprint against `config`, each record's CRC seal, and
-    /// sequence contiguity. A torn final line is skipped with a warning;
-    /// the returned [`LoadedWal`] carries the byte length of the valid
-    /// prefix so [`reopen`](AdmissionWal::reopen) can truncate the torn
-    /// fragment before appending to the file again.
-    fn load(path: &Path, config: &AdmitConfig) -> Result<LoadedWal, RunError> {
-        let corrupt = |line_no: usize, detail: &str| RunError::CheckpointCorrupt {
+    /// header fingerprint against `config`, each record's seal, and
+    /// sequence contiguity. A torn final line is skipped.
+    fn load(path: &Path, config: &AdmitConfig) -> Result<Loaded<WalRecord>, RunError> {
+        let corrupt = |detail: String| RunError::CheckpointCorrupt {
             path: path.to_path_buf(),
-            detail: format!("{detail} at line {line_no}"),
+            detail,
         };
-        let bytes = std::fs::read(path)?;
-        // Split into lines by hand, keeping each line's end offset and
-        // whether its `\n` terminator is present — `BufRead::lines` would
-        // lose both, and recovery needs them to truncate a torn tail.
-        let mut lines: Vec<(&[u8], u64, bool)> = Vec::new();
-        let mut start = 0;
-        while start < bytes.len() {
-            match bytes[start..].iter().position(|&b| b == b'\n') {
-                Some(p) => {
-                    lines.push((&bytes[start..start + p], (start + p + 1) as u64, true));
-                    start += p + 1;
-                }
-                None => {
-                    lines.push((&bytes[start..], bytes.len() as u64, false));
-                    break;
-                }
+        let loaded = sealed_log::load(
+            path,
+            "an admission log",
+            wal_fingerprint(config),
+            |tag, json| match tag {
+                "Sealed" => serde_json::from_str::<WalRecord>(json).ok(),
+                _ => None,
+            },
+        )?
+        .ok_or_else(|| corrupt("log file is empty (no header)".to_owned()))?;
+        for (seq, (line_no, record)) in loaded.records.iter().enumerate() {
+            if record.seq != seq as u64 {
+                return Err(corrupt(format!("record sequence gap at line {line_no}")));
             }
         }
-        let (mut valid_len, mut terminated) = match lines.first() {
-            Some(&(content, end, term)) => {
-                match std::str::from_utf8(content)
-                    .ok()
-                    .and_then(|text| serde_json::from_str::<WalLine>(text).ok())
-                {
-                    Some(WalLine::Header { fingerprint, .. })
-                        if fingerprint == wal_fingerprint(config) =>
-                    {
-                        (end, term)
-                    }
-                    Some(WalLine::Header { .. }) => {
-                        return Err(RunError::CheckpointMismatch {
-                            path: path.to_path_buf(),
-                        });
-                    }
-                    _ => {
-                        return Err(RunError::CheckpointCorrupt {
-                            path: path.to_path_buf(),
-                            detail: "first line is not an admission log header".to_owned(),
-                        });
-                    }
-                }
-            }
-            None => {
-                return Err(RunError::CheckpointCorrupt {
-                    path: path.to_path_buf(),
-                    detail: "log file is empty (no header)".to_owned(),
-                });
-            }
-        };
-        let mut records = Vec::new();
-        for (i, &(content, end, term)) in lines.iter().enumerate().skip(1) {
-            let line_no = i + 1;
-            let last = i + 1 == lines.len();
-            let parsed = match std::str::from_utf8(content)
-                .ok()
-                .and_then(|text| serde_json::from_str::<WalLine>(text).ok())
-            {
-                Some(parsed) => parsed,
-                None if last => {
-                    tracing::warn!(
-                        path = %path.display(),
-                        line = line_no,
-                        "skipping unparseable final admission log line (torn write)"
-                    );
-                    continue;
-                }
-                None => return Err(corrupt(line_no, "unparseable record")),
-            };
-            match parsed {
-                WalLine::Header { .. } => {
-                    return Err(corrupt(line_no, "unexpected extra header"));
-                }
-                WalLine::Sealed { crc, record } => {
-                    if seal(&record) != crc {
-                        return Err(corrupt(line_no, "record checksum mismatch"));
-                    }
-                    if record.seq != records.len() as u64 {
-                        return Err(corrupt(line_no, "record sequence gap"));
-                    }
-                    records.push(record);
-                    valid_len = end;
-                    terminated = term;
-                }
-            }
-        }
-        Ok(LoadedWal {
-            records,
-            valid_len,
-            terminated,
-        })
+        Ok(loaded)
     }
-}
-
-/// Everything [`AdmissionWal::load`] learns from a log file: the sealed
-/// records plus where the valid prefix ends, so
-/// [`reopen`](AdmissionWal::reopen) can cut a torn tail off before
-/// appending instead of merging the next record into the fragment.
-#[derive(Debug)]
-struct LoadedWal {
-    /// The sealed records, in sequence order.
-    records: Vec<WalRecord>,
-    /// Byte offset just past the last valid line (header included);
-    /// anything beyond it is a torn fragment.
-    valid_len: u64,
-    /// Whether the valid prefix ends with its `\n` terminator (`false`
-    /// only when a crash tore exactly the final record's newline off).
-    terminated: bool,
 }
 
 /// The sequential admission core: one pipeline, one committed state, the
@@ -966,7 +816,7 @@ impl AdmissionController {
         pipeline.set_miss_log(Some(Arc::clone(&miss_log)));
         let state = CommittedState::new(config.system_size, config.scenario.scheduler.bus_model);
         let wal = match &config.wal_path {
-            Some(path) => Some(AdmissionWal::create(path, &config).map_err(AdmitError::Log)?),
+            Some(path) => Some(AdmissionWal::open(path, &config, None).map_err(AdmitError::Log)?),
             None => None,
         };
         let fallback_warns = config.miss_warn_limit;
@@ -1010,16 +860,13 @@ impl AdmissionController {
         path: impl AsRef<Path>,
     ) -> Result<(AdmissionController, AdmissionLog), AdmitError> {
         let path = path.as_ref();
-        let LoadedWal {
-            records,
-            valid_len,
-            terminated,
-        } = AdmissionWal::load(path, &config).map_err(AdmitError::Log)?;
+        let Loaded { records, tail } =
+            AdmissionWal::load(path, &config).map_err(AdmitError::Log)?;
         let mut replay_config = config.clone();
         replay_config.wal_path = None;
         let mut controller = AdmissionController::new(replay_config)?;
         let mut log = AdmissionLog::default();
-        for record in records {
+        for (_, record) in records {
             let WalRecord {
                 seq,
                 request,
@@ -1073,10 +920,8 @@ impl AdmissionController {
         log.digest = controller.digest();
         log.residents = controller.residents();
         let next = log.requests.len() as u64;
-        controller.wal = Some(
-            AdmissionWal::reopen(path, &config, next, valid_len, terminated)
-                .map_err(AdmitError::Log)?,
-        );
+        controller.wal =
+            Some(AdmissionWal::open(path, &config, Some((tail, next))).map_err(AdmitError::Log)?);
         controller.config.wal_path = Some(path.to_path_buf());
         Ok((controller, log))
     }
@@ -1153,7 +998,9 @@ impl AdmissionController {
     /// failure is WARNed and counted
     /// ([`admission_log_failures`](crate::telemetry::MetricsSnapshot::admission_log_failures))
     /// and the verdict is still returned — the caller gets its answer, the
-    /// operator gets the signal that durability lapsed.
+    /// operator gets the signal that durability lapsed. The log is cut
+    /// back to its last sealed record, so later records still start a
+    /// fresh line.
     pub(crate) fn conclude(
         &mut self,
         request: &AdmitRequest,
@@ -2105,11 +1952,15 @@ impl AdmissionLog {
 
 #[cfg(test)]
 mod tests {
+    use std::fs::OpenOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use slicing::{CommEstimate, DeltaOp, MetricKind};
     use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
     use taskgraph::SubtaskId;
+
+    use crate::sealed_log::tests::{seal, FlakyFile};
+    use crate::Runner;
 
     use super::*;
 
@@ -2527,8 +2378,27 @@ mod tests {
         records
     }
 
+    /// The admission log line format as a derived serde enum: the oracle
+    /// [`sealed_line`] and the header [`Appender::create`] writes must
+    /// match byte for byte.
+    #[derive(Serialize)]
+    enum WalLine {
+        Header { fingerprint: u64, label: String },
+        Sealed { crc: u32, record: WalRecord },
+    }
+
     #[test]
     fn sealed_line_equals_the_derived_wal_encoding() {
+        let wal = TempPath::new("header");
+        AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        let derived = WalLine::Header {
+            fingerprint: wal_fingerprint(&config(8)),
+            label: "ADM/TEST".to_owned(),
+        };
+        assert_eq!(
+            std::fs::read_to_string(&wal.0).unwrap(),
+            serde_json::to_string(&derived).unwrap() + "\n"
+        );
         for record in every_kind_of_wal_record() {
             let derived = WalLine::Sealed {
                 crc: seal(&record),
@@ -2599,7 +2469,7 @@ mod tests {
         let mut derived = header.to_vec();
         derived.push(b'\n');
         let loaded = AdmissionWal::load(&wal.0, &config(8)).unwrap();
-        for record in &loaded.records {
+        for (_, record) in &loaded.records {
             let line = WalLine::Sealed {
                 crc: seal(record),
                 record: record.clone(),
@@ -2617,32 +2487,30 @@ mod tests {
         assert!(log.matches(&log.replay(&config(8)).unwrap()));
     }
 
-    /// Accepts only the first `prefix` bytes of its first write, fails the
-    /// next call once, then writes through: a transient error (ENOSPC, say)
-    /// that tears an append partway.
-    struct TornOnce {
-        file: File,
-        prefix: Option<usize>,
-        fail_next: bool,
+    /// Writes the log `intact` minus its last record to `path`; returns
+    /// that last record.
+    fn all_but_the_last_record<'a>(intact: &'a [u8], path: &Path) -> &'a [u8] {
+        let last_start = intact[..intact.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        std::fs::write(path, &intact[..last_start]).unwrap();
+        &intact[last_start..]
     }
 
-    impl Write for TornOnce {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if std::mem::take(&mut self.fail_next) {
-                return Err(std::io::Error::other("no space left on device"));
-            }
-            match self.prefix.take() {
-                Some(prefix) => {
-                    self.fail_next = true;
-                    self.file.write(&buf[..prefix.min(buf.len())])
-                }
-                None => self.file.write(buf),
-            }
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.file.flush()
-        }
+    /// An appender over the log at `path` whose writes go through a
+    /// [`FlakyFile`] tearing the first after 100 bytes, then failing
+    /// `failures` times.
+    fn flaky_appender(path: &Path, failures: u32) -> Appender<FlakyFile> {
+        let file = OpenOptions::new().append(true).open(path).unwrap();
+        let end = file.metadata().unwrap().len();
+        let flaky = FlakyFile {
+            file,
+            prefix: Some(100),
+            failures,
+        };
+        Appender::new(flaky, end)
     }
 
     #[test]
@@ -2650,27 +2518,15 @@ mod tests {
         let wal = TempPath::new("partial-source");
         let digest = write_mixed_log(&wal.0);
         let intact = std::fs::read(&wal.0).unwrap();
-        let text = std::str::from_utf8(&intact).unwrap();
-        let last_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
 
         // Everything but the last record, then the last record through a
         // writer that tears it after 100 bytes and fails once.
         let torn = TempPath::new("partial-torn");
-        std::fs::write(&torn.0, &intact[..last_start]).unwrap();
-        let mut writer = TornOnce {
-            file: OpenOptions::new().append(true).open(&torn.0).unwrap(),
-            prefix: Some(100),
-            fail_next: false,
-        };
+        let last = all_but_the_last_record(&intact, &torn.0);
         let mut retries = 0;
-        append_line(
-            &mut writer,
-            &intact[last_start..],
-            |_| None,
-            |_, _, _| retries += 1,
-        )
-        .unwrap();
-        drop(writer);
+        flaky_appender(&torn.0, 1)
+            .append(last, |_| None, |_, _, _| retries += 1)
+            .unwrap();
 
         assert_eq!(retries, 1);
         assert_eq!(
@@ -2678,6 +2534,32 @@ mod tests {
             intact,
             "one copy, no fragment"
         );
+        let (recovered, _) = AdmissionController::recover(config(8), &torn.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
+    }
+
+    #[test]
+    fn an_append_that_exhausts_its_retries_leaves_no_fragment() {
+        let wal = TempPath::new("exhausted-source");
+        let digest = write_mixed_log(&wal.0);
+        let intact = std::fs::read(&wal.0).unwrap();
+
+        // The writer accepts 100 bytes of the last record, then fails the
+        // rest of the first attempt and every retry.
+        let torn = TempPath::new("exhausted-torn");
+        let last = all_but_the_last_record(&intact, &torn.0);
+        let before = std::fs::read(&torn.0).unwrap();
+        let mut log = flaky_appender(&torn.0, Runner::CHECKPOINT_RETRY_LIMIT + 1);
+        assert!(log.append(last, |_| None, |_, _, _| {}).is_err());
+        assert_eq!(
+            std::fs::read(&torn.0).unwrap(),
+            before,
+            "the fragment is cut back to the last sealed byte"
+        );
+
+        // The writer has recovered: the next record lands on a fresh line.
+        log.append(last, |_| None, |_, _, _| {}).unwrap();
+        assert_eq!(std::fs::read(&torn.0).unwrap(), intact);
         let (recovered, _) = AdmissionController::recover(config(8), &torn.0).unwrap();
         assert_eq!(recovered.digest(), digest);
     }

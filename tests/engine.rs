@@ -166,23 +166,28 @@ fn checkpoint_without_header_is_corrupt() {
 #[test]
 fn checkpoint_tolerates_torn_trailing_line() {
     let checkpoint = TempPath::new("torn");
-    Runner::new(scenario())
+    Runner::new(scenario().with_replications(4))
         .threads(1)
         .checkpoint(&checkpoint.0)
         .run()
         .unwrap();
-    // Simulate a write torn by a kill: append half a JSON record.
+    // Simulate a write torn by a kill: append half a sealed record.
     let mut text = std::fs::read_to_string(&checkpoint.0).unwrap();
-    text.push_str("{\"Record\":{\"system_size\":2,\"repl");
+    text.push_str("{\"Sealed\":{\"crc\":1,\"record\":{\"system_size\":2,\"repl");
     std::fs::write(&checkpoint.0, text).unwrap();
 
-    let resumed = Runner::new(scenario())
-        .threads(1)
-        .checkpoint(&checkpoint.0)
-        .run()
-        .unwrap();
+    // The first resume appends the missing replications; they must start
+    // a fresh line, not merge with the fragment, so the second resume
+    // loads them all.
     let uninterrupted = Runner::new(scenario()).threads(1).run().unwrap();
-    assert_eq!(resumed, uninterrupted);
+    for _ in 0..2 {
+        let resumed = Runner::new(scenario())
+            .threads(1)
+            .checkpoint(&checkpoint.0)
+            .run()
+            .unwrap();
+        assert_eq!(resumed, uninterrupted);
+    }
 }
 
 #[test]
@@ -331,53 +336,6 @@ fn checkpoint_rejects_mid_file_corruption() {
         }
         other => panic!("expected CheckpointCorrupt, got {other:?}"),
     }
-}
-
-#[test]
-fn checkpoint_reads_legacy_unsealed_records() {
-    // Checkpoints written before per-record checksums used a bare `Record`
-    // line. Rewrite a fresh checkpoint into that shape and resume from it.
-    let checkpoint = TempPath::new("legacy");
-    Runner::new(scenario())
-        .threads(1)
-        .checkpoint(&checkpoint.0)
-        .run()
-        .unwrap();
-    let text = std::fs::read_to_string(&checkpoint.0).unwrap();
-    let mut rewritten = String::new();
-    for line in text.lines() {
-        let value: serde::Value = serde_json::from_str(line).unwrap();
-        let is_sealed = matches!(
-            &value,
-            serde::Value::Object(entries) if entries.iter().any(|(k, _)| k == "Sealed")
-        );
-        if is_sealed {
-            let serde::Value::Object(entries) = value else {
-                unreachable!()
-            };
-            let sealed = entries.into_iter().find(|(k, _)| k == "Sealed").unwrap().1;
-            let serde::Value::Object(fields) = sealed else {
-                panic!("Sealed is an object")
-            };
-            let record = fields.into_iter().find(|(k, _)| k == "record").unwrap().1;
-            let legacy = serde::Value::Object(vec![("Record".to_owned(), record)]);
-            rewritten.push_str(&serde_json::to_string(&legacy).unwrap());
-            rewritten.push('\n');
-        } else {
-            rewritten.push_str(line);
-            rewritten.push('\n');
-        }
-    }
-    assert!(rewritten.contains("\"Record\""));
-    std::fs::write(&checkpoint.0, rewritten).unwrap();
-
-    let resumed = Runner::new(scenario())
-        .threads(1)
-        .checkpoint(&checkpoint.0)
-        .run()
-        .unwrap();
-    let uninterrupted = Runner::new(scenario()).threads(1).run().unwrap();
-    assert_eq!(resumed, uninterrupted);
 }
 
 #[test]
