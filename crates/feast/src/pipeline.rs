@@ -145,7 +145,7 @@ impl Pipeline {
     /// Enables incremental re-slicing: every [`slice`](Pipeline::slice)
     /// call runs through [`Slicer::redistribute`] against a retained
     /// [`SliceMemo`], so re-slicing a lightly-amended graph reuses the
-    /// unaffected per-start searches. Output is bit-identical either way;
+    /// previous run's expanded graph. Output is bit-identical either way;
     /// baselines ignore the memo.
     ///
     /// [`Slicer::redistribute`]: slicing::Slicer::redistribute

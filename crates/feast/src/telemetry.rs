@@ -328,8 +328,8 @@ impl Registry {
         self.checkpoint_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accumulates one incremental redistribution's cache-effectiveness
-    /// counters ([`slicing::RedistributeStats`]).
+    /// Accumulates one redistribution's reuse counters
+    /// ([`slicing::RedistributeStats`]).
     pub fn count_redistribute(&self, stats: &slicing::RedistributeStats) {
         self.delta_cache_hits
             .fetch_add(stats.cache_hits, Ordering::Relaxed);
@@ -535,29 +535,30 @@ impl Registry {
         self.checkpoint_retries.load(Ordering::Relaxed)
     }
 
-    /// Per-start path searches answered from the delta cache.
+    /// Per-start path searches that redistributions answered from their
+    /// run's search table.
     pub fn delta_cache_hits(&self) -> u64 {
         self.delta_cache_hits.load(Ordering::Relaxed)
     }
 
-    /// Per-start path searches that ran the DP live during redistribution.
+    /// Per-start path searches that ran the DP during redistribution.
     pub fn delta_cache_misses(&self) -> u64 {
         self.delta_cache_misses.load(Ordering::Relaxed)
     }
 
-    /// Dirty (node, iteration) pairs seen by redistributions.
+    /// Expanded nodes whose virtual weight differed from the memo's.
     pub fn delta_dirty_nodes(&self) -> u64 {
         self.delta_dirty_nodes.load(Ordering::Relaxed)
     }
 
-    /// Scanned (node, iteration) pairs — the denominator of
+    /// Expanded nodes compared against a memo — the denominator of
     /// [`delta_dirty_frac`](Registry::delta_dirty_frac).
     pub fn delta_scanned_nodes(&self) -> u64 {
         self.delta_scanned_nodes.load(Ordering::Relaxed)
     }
 
-    /// Fraction of scanned per-iteration node states that were dirty
-    /// across all redistributions (zero when none ran).
+    /// Fraction of compared expanded nodes whose virtual weight moved,
+    /// across all redistributions (zero when none compared any).
     pub fn delta_dirty_frac(&self) -> f64 {
         let scanned = self.delta_scanned_nodes();
         if scanned == 0 {
@@ -754,17 +755,18 @@ pub struct MetricsSnapshot {
     pub replications_failed: u64,
     /// Checkpoint appends that had to be retried.
     pub checkpoint_retries: u64,
-    /// Per-start path searches answered from the delta cache.
+    /// Per-start path searches redistributions reused within their run.
     /// (Defaulted so snapshots written before the delta pipeline parse.)
     #[serde(default)]
     pub delta_cache_hits: u64,
-    /// Per-start path searches run live during redistribution.
+    /// Per-start path searches run during redistribution.
     #[serde(default)]
     pub delta_cache_misses: u64,
-    /// Dirty (node, iteration) pairs seen by redistributions.
+    /// Expanded nodes whose virtual weight differed from the memo's.
     #[serde(default)]
     pub delta_dirty_nodes: u64,
-    /// Scanned (node, iteration) pairs (the dirty-fraction denominator).
+    /// Expanded nodes compared against a memo (the dirty-fraction
+    /// denominator).
     #[serde(default)]
     pub delta_scanned_nodes: u64,
     /// Admission requests answered with an admit verdict.

@@ -22,7 +22,7 @@ use platform::Platform;
 use taskgraph::{TaskGraph, Time};
 
 use crate::expanded::{ExpKind, ExpandedGraph};
-use crate::path_search::{CriticalPath, PathSearch};
+use crate::path_search::{CriticalPath, PathSearch, SearchCounts, StartTable};
 use crate::{
     CommEstimate, DeadlineAssignment, MetricContext, MetricKind, ShareRule, SliceError,
     SliceMetric, Thres, Window,
@@ -156,7 +156,7 @@ impl Slicer {
         self.estimate.label()
     }
 
-    /// The metric, for the incremental replay path.
+    /// The metric, for the memo and cache fingerprints.
     pub(crate) fn metric(&self) -> &(dyn SliceMetric + Send + Sync) {
         self.metric.as_ref()
     }
@@ -234,6 +234,20 @@ impl Slicer {
         graph: &TaskGraph,
         inputs: &SliceInputs,
     ) -> Result<DeadlineAssignment, SliceError> {
+        self.slice_loop(graph, inputs, |_| {})
+            .map(|(assignment, _)| assignment)
+    }
+
+    /// The slicing loop behind every entry point, `redistribute` included.
+    /// Each iteration's critical path is found through one [`StartTable`],
+    /// so a start's search re-runs only after a sliced path changed a node
+    /// it read. `on_path` sees every chosen path in order.
+    pub(crate) fn slice_loop(
+        &self,
+        graph: &TaskGraph,
+        inputs: &SliceInputs,
+        mut on_path: impl FnMut(&CriticalPath),
+    ) -> Result<(DeadlineAssignment, SearchCounts), SliceError> {
         let _span = tracing::debug_span!(
             "distribute",
             metric = self.metric.name(),
@@ -247,6 +261,7 @@ impl Slicer {
         let n = exp.len();
         let mut state = SliceState::init(graph, exp);
         let mut search = PathSearch::new(n, exp.max_chain());
+        let mut table = StartTable::new(n);
         let mut paths = 0usize;
         // Scratch reused across loop iterations: the hot loop runs once per
         // critical path and must not allocate per path.
@@ -255,9 +270,18 @@ impl Slicer {
 
         while state.remaining > 0 {
             let cp = search
-                .find_critical_path(exp, vweights, &state.assigned, &state.rel, &state.dl, rule)
+                .find_reusing(
+                    &mut table,
+                    exp,
+                    vweights,
+                    &state.assigned,
+                    &state.rel,
+                    &state.dl,
+                    rule,
+                )
                 .ok_or(SliceError::NoAnchoredPath)?;
             paths += 1;
+            on_path(&cp);
             apply_path(
                 exp,
                 vweights,
@@ -268,16 +292,19 @@ impl Slicer {
                 &mut slices,
                 paths,
             );
+            table.invalidate(exp, &cp.nodes, &state.assigned);
         }
 
         tracing::debug!(
             paths = paths,
             inverted = state.inverted,
             expanded_nodes = n,
+            searched = table.counts.searched,
+            reused = table.counts.reused,
             "deadline distribution complete"
         );
 
-        finalize(self, graph, exp, state)
+        Ok((finalize(self, graph, exp, state)?, table.counts))
     }
 }
 
@@ -310,26 +337,20 @@ impl PartialEq for SliceInputs {
 
 /// Mutable per-run slicing state: which expanded nodes are sliced, the
 /// accumulated release/deadline anchors, and the windows produced so far.
-///
-/// Factored out of [`Slicer::distribute`] so the incremental replay in
-/// [`crate::SliceMemo`]-driven redistribution advances the *same* state with
-/// the *same* transition function — bit-identity between the two is then a
-/// matter of feeding identical critical paths in, which the per-start
-/// dependency sets guarantee.
-#[derive(Debug, Clone)]
-pub(crate) struct SliceState {
-    pub(crate) assigned: Vec<bool>,
-    pub(crate) rel: Vec<Option<Time>>,
-    pub(crate) dl: Vec<Option<Time>>,
-    pub(crate) windows: Vec<Option<Window>>,
-    pub(crate) remaining: usize,
-    pub(crate) inverted: usize,
+#[derive(Debug)]
+struct SliceState {
+    assigned: Vec<bool>,
+    rel: Vec<Option<Time>>,
+    dl: Vec<Option<Time>>,
+    windows: Vec<Option<Window>>,
+    remaining: usize,
+    inverted: usize,
 }
 
 impl SliceState {
     /// Fresh state for one run: anchors seeded from the graph's own
     /// release/deadline attributes, nothing sliced yet.
-    pub(crate) fn init(graph: &TaskGraph, exp: &ExpandedGraph) -> SliceState {
+    fn init(graph: &TaskGraph, exp: &ExpandedGraph) -> SliceState {
         let n = exp.len();
         let mut rel: Vec<Option<Time>> = vec![None; n];
         let mut dl: Vec<Option<Time>> = vec![None; n];
@@ -356,7 +377,7 @@ impl SliceState {
 ///
 /// `path_weights` and `slices` are reusable scratch buffers.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_path(
+fn apply_path(
     exp: &ExpandedGraph,
     vweights: &[f64],
     rule: ShareRule,
@@ -411,7 +432,7 @@ pub(crate) fn apply_path(
 
 /// Turns a fully-sliced state into a [`DeadlineAssignment`]: optional
 /// strict-window clamp, then window collection in subtask/edge order.
-pub(crate) fn finalize(
+fn finalize(
     slicer: &Slicer,
     graph: &TaskGraph,
     exp: &ExpandedGraph,
@@ -803,6 +824,105 @@ mod tests {
         // Chain B is more critical: (80-40)/2 = 20 < (100-20)/2 = 40.
         assert_eq!(asg.window(b1).relative_deadline(), Time::new(40));
         assert_eq!(asg.window(a1).relative_deadline(), Time::new(50));
+    }
+
+    /// The slicing loop without reuse: every iteration searches every
+    /// release-anchored start afresh. The oracle [`Slicer::slice_loop`] is
+    /// checked against; also returns how many searches it ran.
+    fn reference_loop(
+        slicer: &Slicer,
+        graph: &TaskGraph,
+        inputs: &SliceInputs,
+        mut on_path: impl FnMut(&CriticalPath),
+    ) -> Result<(DeadlineAssignment, u64), SliceError> {
+        let SliceInputs { exp, vweights } = inputs;
+        let rule = slicer.metric.share_rule();
+        let mut state = SliceState::init(graph, exp);
+        let mut search = PathSearch::new(exp.len(), exp.max_chain());
+        let (mut path_weights, mut slices) = (Vec::new(), Vec::new());
+        let (mut paths, mut searched) = (0usize, 0u64);
+        while state.remaining > 0 {
+            searched += (0..exp.len())
+                .filter(|&s| !state.assigned[s] && state.rel[s].is_some())
+                .count() as u64;
+            let cp = search
+                .find_critical_path(exp, vweights, &state.assigned, &state.rel, &state.dl, rule)
+                .ok_or(SliceError::NoAnchoredPath)?;
+            paths += 1;
+            on_path(&cp);
+            apply_path(
+                exp,
+                vweights,
+                rule,
+                &cp,
+                &mut state,
+                &mut path_weights,
+                &mut slices,
+                paths,
+            );
+        }
+        Ok((finalize(slicer, graph, exp, state)?, searched))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn reusing_loop_matches_the_reference_loop(
+            seed in 0u64..u64::MAX,
+            n in 1usize..=16,
+            density in 0.0f64..0.6,
+            procs in 2usize..=8,
+            metric in 0usize..4,
+            ccaa in proptest::bool::ANY,
+            strict in proptest::bool::ANY,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let graph = crate::path_search::equivalence::random_graph(&mut rng, n, density);
+            let platform = Platform::paper(procs).unwrap();
+            let metric = [
+                MetricKind::Pure,
+                MetricKind::Norm,
+                MetricKind::thres(1.0),
+                MetricKind::adapt(),
+            ][metric];
+            let estimate = if ccaa { CommEstimate::Ccaa } else { CommEstimate::Ccne };
+            let slicer = Slicer::new(metric)
+                .with_estimate(estimate)
+                .with_strict_windows(strict);
+            let inputs = slicer.prepare(&graph, &platform);
+
+            let mut reusing_paths = Vec::new();
+            let reusing = slicer.slice_loop(&graph, &inputs, |cp| reusing_paths.push(cp.clone()));
+            let mut reference_paths = Vec::new();
+            let reference =
+                reference_loop(&slicer, &graph, &inputs, |cp| reference_paths.push(cp.clone()));
+            proptest::prop_assert_eq!(&reusing_paths, &reference_paths);
+            proptest::prop_assert_eq!(
+                reusing.map(|(a, _)| a),
+                reference.map(|(a, _)| a)
+            );
+        }
+    }
+
+    #[test]
+    fn the_loop_reuses_most_searches_on_a_stress_graph() {
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+        let spec = WorkloadSpec::paper(ExecVariation::Mdet)
+            .with_subtasks(160..=240)
+            .with_depth(32..=48);
+        let graph = generate_seeded(&spec, 1).unwrap();
+        let slicer = Slicer::ast_thres(1.0);
+        let inputs = slicer.prepare(&graph, &Platform::paper(8).unwrap());
+        let (assignment, counts) = slicer.slice_loop(&graph, &inputs, |_| {}).unwrap();
+        let (reference, reference_searches) =
+            reference_loop(&slicer, &graph, &inputs, |_| {}).unwrap();
+        assert_eq!(assignment, reference);
+        assert_eq!(counts.searched + counts.reused, reference_searches);
+        assert!(
+            counts.searched * 10 <= reference_searches,
+            "{} searches against {reference_searches} without reuse",
+            counts.searched
+        );
     }
 
     fn paper_graph(seed: u64) -> TaskGraph {

@@ -13,7 +13,7 @@
 //!
 //! This is deliberately stronger than the structural `GraphSig` the
 //! incremental memo uses: the memo only needs the *expanded shape* to
-//! match (anchor and WCET changes replay incrementally), while a cache
+//! match (anchor and WCET changes keep using it), while a cache
 //! hit returns the memoized output verbatim and therefore must witness
 //! bit-equality of all inputs. A 64-bit content hash is precomputed for
 //! cheap filtering; full key equality is confirmed on every hit, so hash

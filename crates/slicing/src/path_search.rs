@@ -25,6 +25,13 @@
 //! than every node times every chain length. Relaxations happen in the same
 //! order as a full topological sweep, which keeps results bit-identical to
 //! the naive DP (asserted by the `reference` equivalence suite below).
+//!
+//! Each iteration of the slicing loop changes the state of few nodes, so
+//! most starts' searches return exactly what they returned one iteration
+//! earlier. A [`StartTable`] keeps every start's local winner together
+//! with the read set of the search that produced it, and
+//! [`PathSearch::find_reusing`] re-runs only the starts whose entry an
+//! applied path invalidated.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,13 +56,83 @@ pub(crate) struct CriticalPath {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// Marks node `v` in the optional dependency bitset (one bit per expanded
-/// node). A no-op when no recording is requested, so the untraced hot path
-/// pays one predictable branch.
+/// Marks node `v` in a bitset over expanded nodes.
 #[inline]
-fn mark(dep: &mut Option<&mut Vec<u64>>, v: usize) {
-    if let Some(bits) = dep.as_deref_mut() {
-        bits[v >> 6] |= 1u64 << (v & 63);
+fn mark(bits: &mut [u64], v: usize) {
+    bits[v >> 6] |= 1u64 << (v & 63);
+}
+
+/// Bitset words covering `nodes` nodes.
+fn words(nodes: usize) -> usize {
+    nodes.div_ceil(64)
+}
+
+/// Per-start searches of one slicing run: how many ran the DP and how many
+/// were answered from the [`StartTable`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SearchCounts {
+    pub(crate) searched: u64,
+    pub(crate) reused: u64,
+}
+
+/// The per-start search table of one slicing run: every release-anchored
+/// start's local winner, plus the read set of the search that produced it
+/// (see [`PathSearch::search_from`]).
+///
+/// Virtual weights are fixed within a run, and applying a critical path
+/// changes the `assigned`/`rel`/`dl` state of only the spine, its
+/// unassigned predecessors (deadlines) and its unassigned successors
+/// (releases). A search whose read set misses all of them would return
+/// its cached winner again, so [`invalidate`](StartTable::invalidate)
+/// drops exactly the entries whose read set meets them.
+#[derive(Debug)]
+pub(crate) struct StartTable {
+    words: usize,
+    /// `fresh[s]`: `cands[s]` and row `s` of `deps` describe the search
+    /// from `s` over the current state.
+    fresh: Vec<bool>,
+    cands: Vec<Option<CriticalPath>>,
+    /// Row-major read sets, `words` per node.
+    deps: Vec<u64>,
+    /// Scratch: the nodes the last applied path changed.
+    changed: Vec<u64>,
+    pub(crate) counts: SearchCounts,
+}
+
+impl StartTable {
+    /// An empty table for a graph of `nodes` expanded nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        let words = words(nodes);
+        StartTable {
+            words,
+            fresh: vec![false; nodes],
+            cands: vec![None; nodes],
+            deps: vec![0; nodes * words],
+            changed: vec![0; words],
+            counts: SearchCounts::default(),
+        }
+    }
+
+    /// Drops every entry whose search read a node the just-applied path
+    /// `spine` changed: the spine itself and its neighbours still
+    /// unassigned after it (`assigned` is the state after the path).
+    pub(crate) fn invalidate(&mut self, exp: &ExpandedGraph, spine: &[usize], assigned: &[bool]) {
+        self.changed.fill(0);
+        for &v in spine {
+            mark(&mut self.changed, v);
+            for &u in exp.pred(v).iter().chain(exp.succ(v)) {
+                if !assigned[u as usize] {
+                    mark(&mut self.changed, u as usize);
+                }
+            }
+        }
+        let words = self.words;
+        for (s, fresh) in self.fresh.iter_mut().enumerate() {
+            if *fresh {
+                let dep = &self.deps[s * words..(s + 1) * words];
+                *fresh = dep.iter().zip(&self.changed).all(|(d, c)| d & c == 0);
+            }
+        }
     }
 }
 
@@ -145,7 +222,7 @@ impl PathSearch {
     ///
     /// Returns `false` when no endpoint exists (no anchored path can exist
     /// either, so per-start searches are pointless).
-    pub(crate) fn classify(
+    fn classify(
         &mut self,
         n: usize,
         assigned: &[bool],
@@ -167,15 +244,65 @@ impl PathSearch {
     ///
     /// `vweights` are per-node virtual execution times; `assigned` marks
     /// nodes already sliced; `rel`/`dl` are the accumulated release/deadline
-    /// anchors.
+    /// anchors. `table` holds the searches of earlier iterations of this
+    /// run that the paths applied since have not invalidated.
     ///
     /// Decomposed into one [`search_from`](Self::search_from) per
     /// release-anchored start, composed with a strict `<` over ascending
     /// starts — exactly the evaluation order of the original monolithic
     /// sweep, so the winner (the first candidate attaining the global
-    /// minimum) is bit-identical. The per-start form is what incremental
-    /// redistribution replays, skipping starts whose recorded read set is
-    /// untouched by a delta.
+    /// minimum) is bit-identical. Starts with a fresh table entry are not
+    /// searched again. The winner's entry is consumed: its start is on the
+    /// path and leaves the start set once the path is applied.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn find_reusing(
+        &mut self,
+        table: &mut StartTable,
+        exp: &ExpandedGraph,
+        vweights: &[f64],
+        assigned: &[bool],
+        rel: &[Option<Time>],
+        dl: &[Option<Time>],
+        rule: ShareRule,
+    ) -> Option<CriticalPath> {
+        let n = exp.len();
+        let words = table.words;
+        let mut classified = false;
+        let mut best: Option<(usize, f64)> = None;
+        for s in 0..n {
+            let Some(start_release) = rel[s].filter(|_| !assigned[s]) else {
+                continue;
+            };
+            if table.fresh[s] {
+                table.counts.reused += 1;
+            } else {
+                // With no endpoint left no search finds a path, and no
+                // cached winner survives: the endpoint it reached is in its
+                // read set and has since been assigned.
+                if !classified && !self.classify(n, assigned, rel, dl) {
+                    return None;
+                }
+                classified = true;
+                table.counts.searched += 1;
+                let dep = &mut table.deps[s * words..(s + 1) * words];
+                dep.fill(0);
+                table.cands[s] = self.search_from(exp, vweights, dl, s, start_release, rule, dep);
+                table.fresh[s] = true;
+            }
+            if let Some(cand) = &table.cands[s] {
+                if best.is_none_or(|(_, score)| cand.score < score) {
+                    best = Some((s, cand.score));
+                }
+            }
+        }
+        let (s, _) = best?;
+        table.fresh[s] = false;
+        table.cands[s].take()
+    }
+
+    /// The no-reuse search: every release-anchored start searched afresh.
+    /// The oracle [`find_reusing`](Self::find_reusing) is checked against.
+    #[cfg(test)]
     pub(crate) fn find_critical_path(
         &mut self,
         exp: &ExpandedGraph,
@@ -189,13 +316,16 @@ impl PathSearch {
         if !self.classify(n, assigned, rel, dl) {
             return None;
         }
+        let mut dep = vec![0u64; words(n)];
         let mut best: Option<CriticalPath> = None;
         for s in 0..n {
             if assigned[s] || rel[s].is_none() {
                 continue;
             }
             let start_release = rel[s].expect("checked above");
-            if let Some(cand) = self.search_from(exp, vweights, dl, s, start_release, rule, None) {
+            if let Some(cand) =
+                self.search_from(exp, vweights, dl, s, start_release, rule, &mut dep)
+            {
                 if best.as_ref().is_none_or(|b| cand.score < b.score) {
                     best = Some(cand);
                 }
@@ -214,10 +344,10 @@ impl PathSearch {
     /// winners across ascending starts with the same strict `<` reproduces
     /// the global sweep exactly.
     ///
-    /// When `dep` is `Some`, every node whose *mutable per-iteration state*
-    /// the search reads (the start, every popped node, every examined
-    /// successor) is marked in the bitset. A cached result from this start
-    /// stays valid as long as none of those nodes' state changed: unreached
+    /// Every node whose *mutable per-iteration state* the search reads (the
+    /// start, every popped node, every examined successor) is marked in the
+    /// `dep` bitset, its read set. A cached result from this start stays
+    /// valid as long as none of those nodes' state changed: unreached
     /// nodes beyond the recorded boundary cannot influence the search
     /// without some boundary node's `can_enter`/anchor state changing
     /// first, and that boundary node is in the set.
@@ -230,12 +360,12 @@ impl PathSearch {
         s: usize,
         start_release: Time,
         rule: ShareRule,
-        mut dep: Option<&mut Vec<u64>>,
+        dep: &mut [u64],
     ) -> Option<CriticalPath> {
         let cols = self.cols;
         let epoch = self.next_epoch();
         let mut best: Option<CriticalPath> = None;
-        mark(&mut dep, s);
+        mark(dep, s);
 
         // Seed the single-node path (s, length 1).
         self.states[s * cols + 1] = State {
@@ -257,7 +387,7 @@ impl PathSearch {
         // it may extend iff it is not deadline-anchored.
         while let Some(Reverse(pos)) = self.frontier.pop() {
             let u = exp.topo()[pos as usize] as usize;
-            mark(&mut dep, u);
+            mark(dep, u);
             if dl[u].is_some() {
                 continue;
             }
@@ -274,7 +404,7 @@ impl PathSearch {
                 }
                 for &z in exp.succ(u) {
                     let z = z as usize;
-                    mark(&mut dep, z);
+                    mark(dep, z);
                     if !self.can_enter[z] {
                         continue;
                     }
@@ -519,7 +649,7 @@ pub(crate) mod reference {
 }
 
 #[cfg(test)]
-mod equivalence {
+pub(crate) mod equivalence {
     //! The optimized search against the [`reference`] oracle: identical
     //! critical paths (same score, same window, same node sequence) across
     //! random DAGs, random anchor/assignment patterns, both communication
@@ -541,7 +671,7 @@ mod equivalence {
     /// subtasks can be given the release and output subtasks the deadline
     /// the builder requires; interior nodes carry anchors at random, as
     /// generated workloads do.
-    fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> TaskGraph {
+    pub(crate) fn random_graph(rng: &mut StdRng, n: usize, density: f64) -> TaskGraph {
         let mut edges: Vec<(usize, usize, u64)> = Vec::new();
         let mut has_pred = vec![false; n];
         let mut has_succ = vec![false; n];
