@@ -29,8 +29,12 @@
 //!   write-ahead log *before* its verdict is returned, and
 //!   [`AdmissionController::recover`] rebuilds the committed state from
 //!   that log after the process is killed, bit-identical to the pre-kill
-//!   digest. The log is not fsynced, so an OS crash or power loss is not
-//!   covered.
+//!   digest. The log holds two kinds of line: a `Graph` line seals each
+//!   distinct task graph once, and a `Sealed` line records one concluded
+//!   request, an admit naming its graph by the `Graph` line's ordinal. An
+//!   admit of a graph new to the log writes both lines in one append, so
+//!   every request costs one write. The log is not fsynced, so an OS crash
+//!   or power loss is not covered.
 //!
 //! The service is built to *degrade, not die*: a slicer-worker panic
 //! becomes a typed [`Failed`](AdmitOutcome::Failed) outcome and the
@@ -230,8 +234,9 @@ impl AdmitConfig {
 ///
 /// Requests are processed strictly in submission order; the id names the
 /// resident for later amendment and must be unique among live residents.
-/// Its serialized form is what the write-ahead log seals (the graph is
-/// written in full: `Arc` serializes transparently).
+/// Its serialized form writes the graph in full (`Arc` serializes
+/// transparently); the write-ahead log instead seals each distinct graph
+/// once and has an admit name it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum AdmitRequest {
     /// Admit a new task graph arriving at absolute time `origin`.
@@ -532,13 +537,25 @@ struct Resident {
 }
 
 /// The header line of an admission write-ahead log: identifies the
-/// configuration the sealed `Sealed` ([`WalRecord`]) lines belong to.
+/// configuration the `Graph` ([`WalGraph`]) and `Sealed` ([`WalRecord`])
+/// lines after it belong to.
 #[derive(Serialize)]
 struct WalHeader {
     /// Configuration fingerprint (see [`wal_fingerprint`]).
     fingerprint: u64,
     /// Scenario label, for human readers of the file.
     label: String,
+}
+
+/// A `Graph` line of the admission write-ahead log: one distinct task
+/// graph, sealed once per log file under the ordinal its admit records
+/// reference.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct WalGraph {
+    /// Per-file graph ordinal (contiguous from 0, in file order).
+    g: u64,
+    /// The graph, in graph-local time.
+    graph: Arc<TaskGraph>,
 }
 
 /// One sealed record of the admission write-ahead log: a request, its
@@ -550,17 +567,66 @@ struct WalRecord {
     /// Submission sequence (records are contiguous from 0).
     seq: u64,
     /// The concluded request.
-    request: AdmitRequest,
+    request: SealedRequest,
     /// How it was concluded.
     outcome: AdmitOutcome,
     /// [`CommittedState::digest`] after this record's outcome.
     digest: u64,
 }
 
+/// The sealed form of an [`AdmitRequest`]: an admit names its graph by the
+/// ordinal of the `Graph` line that sealed it instead of carrying it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum SealedRequest {
+    /// [`AdmitRequest::Admit`].
+    Admit {
+        id: u64,
+        /// The ordinal `g` of the `Graph` line holding the graph.
+        graph: u64,
+        origin: Time,
+    },
+    /// [`AdmitRequest::Amend`], verbatim.
+    Amend { id: u64, delta: GraphDelta },
+}
+
+/// One line of an admission write-ahead log after its header.
+#[derive(Debug, Clone)]
+enum WalEntry {
+    Graph(WalGraph),
+    Sealed(WalRecord),
+}
+
+/// A sealed record read back by [`AdmissionWal::load`], its graph
+/// reference resolved.
+#[derive(Debug)]
+struct LoadedRecord {
+    seq: u64,
+    request: AdmitRequest,
+    outcome: AdmitOutcome,
+    digest: u64,
+}
+
+/// An admission write-ahead log read back by [`AdmissionWal::load`].
+#[derive(Debug)]
+struct LoadedWal {
+    /// The sealed records, in sequence order.
+    records: Vec<LoadedRecord>,
+    /// Every sealed graph, indexed by ordinal; each is one allocation
+    /// shared by all the records that reference it.
+    graphs: Vec<Arc<TaskGraph>>,
+    /// Where the valid prefix ends, for [`Appender::reopen`].
+    tail: Tail,
+}
+
+/// The line schema, as a fingerprint input: a log written under another
+/// schema fails the header check with [`RunError::CheckpointMismatch`]
+/// instead of being misread.
+const WAL_SCHEMA: &[u8] = b"admission-wal-graph-once";
+
 /// Fingerprint of everything a write-ahead log's records depend on: the
-/// scenario's measurement-relevant content (reusing the checkpoint
-/// [`fingerprint`]), the platform size, the capacity bound and the
-/// eviction policy. Operational knobs that cannot change a committed
+/// line schema, the scenario's measurement-relevant content (reusing the
+/// checkpoint [`fingerprint`]), the platform size, the capacity bound and
+/// the eviction policy. Operational knobs that cannot change a committed
 /// record — queue depth, worker count, decision budget — are deliberately
 /// excluded, so a log recovers under a differently-tuned service.
 fn wal_fingerprint(config: &AdmitConfig) -> u64 {
@@ -569,7 +635,7 @@ fn wal_fingerprint(config: &AdmitConfig) -> u64 {
     // cannot cancel into the same fingerprint.
     let shape = stream_seed(
         fingerprint(&config.scenario),
-        stream_label(b"admission-wal"),
+        stream_label(WAL_SCHEMA),
         config.system_size as u64,
         config.capacity as u64,
     );
@@ -579,6 +645,42 @@ fn wal_fingerprint(config: &AdmitConfig) -> u64 {
         stream_label(config.eviction.name().as_bytes()),
         0,
     )
+}
+
+/// How many recently sealed graphs an [`AdmissionWal`] remembers. An admit
+/// whose graph has dropped out of the table seals it again under a new
+/// ordinal: a longer log, never a wrong reference.
+const SEALED_GRAPHS: usize = 64;
+
+/// A graph the log already holds, as the writer's table remembers it.
+#[derive(Debug)]
+struct SealedGraph {
+    /// Held so a pointer match can never name a freed and reused
+    /// allocation.
+    graph: Arc<TaskGraph>,
+    /// [`graph_hash`] of `graph`: a filter, never written to disk.
+    hash: u64,
+    /// The graph's ordinal in this log file.
+    g: u64,
+    /// Use-stamp of the latest admit that referenced it.
+    last_used: u64,
+}
+
+/// An in-memory content hash of `graph`'s subtasks and edges for the
+/// writer's table: equal graphs hash equally. The hash is never persisted,
+/// so it need not be stable across processes.
+fn graph_hash(graph: &TaskGraph) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for i in 0..graph.subtask_count() {
+        let s = graph.subtask(taskgraph::SubtaskId::new(i as u32));
+        (s.name(), s.wcet(), s.release(), s.deadline()).hash(&mut h);
+    }
+    for eid in graph.edge_ids() {
+        let e = graph.edge(eid);
+        (e.src(), e.dst(), e.items()).hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Does the admission fault `site` fire at `(system_size, seq, attempt)`?
@@ -622,65 +724,177 @@ fn fault_fires(
 /// [sealed log](crate::sealed_log) — the on-disk format, torn-tail repair
 /// and retry policy of the Runner's checkpoints.
 ///
-/// The header carries a configuration fingerprint; every further line
-/// seals one [`AdmitRequest`] + [`AdmitOutcome`] + post-outcome state
-/// digest. Each append reaches the OS before its verdict returns, so a
-/// killed process loses at most the record in flight.
+/// The header carries a configuration fingerprint. After it come two
+/// kinds of sealed line: a `Graph` line ([`WalGraph`]) holds one distinct
+/// task graph under a per-file ordinal, and a `Sealed` line
+/// ([`WalRecord`]) holds one concluded request, its outcome and the
+/// post-outcome state digest. Each distinct graph is written once: an
+/// admit names its graph by ordinal, and a table of the
+/// [`SEALED_GRAPHS`] most recently referenced graphs finds the ordinal (a
+/// pointer match first, then a content hash filter with full equality as
+/// the witness). An admit whose graph the table does not hold writes the
+/// `Graph` line and its record in one append, so a request costs one
+/// write either way. Each append reaches the OS before its verdict
+/// returns, so a killed process loses at most the request in flight.
 #[derive(Debug)]
 struct AdmissionWal {
     log: Appender,
     path: PathBuf,
     /// Sequence the next sealed record will carry.
     seq: u64,
+    /// Ordinal the next sealed graph will carry.
+    next_graph: u64,
+    /// The recently sealed graphs (at most [`SEALED_GRAPHS`]).
+    graphs: Vec<SealedGraph>,
+    /// Use-stamp clock of `graphs`.
+    stamp: u64,
     system_size: usize,
     fault: Option<Arc<FaultPlan>>,
 }
 
 impl AdmissionWal {
     /// Attaches to the log at `path`: created (truncating) with a fresh
-    /// header, or — after recovery replayed `seq` records from it —
-    /// reopened past its valid prefix `tail`.
+    /// header, or — after recovery replayed `seq` records and read back
+    /// the sealed `graphs` from it — reopened past its valid prefix
+    /// `tail`.
     fn open(
         path: &Path,
         config: &AdmitConfig,
-        recovered: Option<(Tail, u64)>,
+        recovered: Option<(Tail, u64, &[Arc<TaskGraph>])>,
     ) -> Result<AdmissionWal, RunError> {
-        let (log, seq) = match recovered {
+        let (log, seq, sealed) = match recovered {
             None => {
                 let header = WalHeader {
                     fingerprint: wal_fingerprint(config),
                     label: config.scenario.label.clone(),
                 };
-                (Appender::create(path, &header)?, 0)
+                (Appender::create(path, &header)?, 0, &[][..])
             }
-            Some((tail, seq)) => (Appender::reopen(path, tail)?, seq),
+            Some((tail, seq, graphs)) => (Appender::reopen(path, tail)?, seq, graphs),
         };
-        Ok(AdmissionWal {
+        let mut wal = AdmissionWal {
             log,
             path: path.to_path_buf(),
             seq,
+            next_graph: sealed.len() as u64,
+            graphs: Vec::new(),
+            stamp: 0,
             system_size: config.system_size,
             fault: config.fault_plan.clone(),
-        })
+        };
+        let first = sealed.len().saturating_sub(SEALED_GRAPHS);
+        for (g, graph) in sealed.iter().enumerate().skip(first) {
+            wal.remember(graph, graph_hash(graph), g as u64);
+        }
+        Ok(wal)
+    }
+
+    /// The ordinal of a sealed graph equal to `graph`, marked most
+    /// recently used — or, when the table holds none, `Err` with
+    /// `graph`'s content hash for [`remember`](AdmissionWal::remember).
+    fn sealed_ordinal(&mut self, graph: &Arc<TaskGraph>) -> Result<u64, u64> {
+        self.stamp += 1;
+        let found = match self
+            .graphs
+            .iter()
+            .position(|e| Arc::ptr_eq(&e.graph, graph))
+        {
+            Some(i) => i,
+            None => {
+                let hash = graph_hash(graph);
+                self.graphs
+                    .iter()
+                    .position(|e| e.hash == hash && *e.graph == **graph)
+                    .ok_or(hash)?
+            }
+        };
+        let entry = &mut self.graphs[found];
+        entry.last_used = self.stamp;
+        Ok(entry.g)
+    }
+
+    /// Enters a graph sealed as ordinal `g` in the table, replacing the
+    /// least recently used entry when full.
+    fn remember(&mut self, graph: &Arc<TaskGraph>, hash: u64, g: u64) {
+        self.stamp += 1;
+        let entry = SealedGraph {
+            graph: Arc::clone(graph),
+            hash,
+            g,
+            last_used: self.stamp,
+        };
+        if self.graphs.len() < SEALED_GRAPHS {
+            self.graphs.push(entry);
+        } else if let Some(oldest) = self.graphs.iter_mut().min_by_key(|e| e.last_used) {
+            *oldest = entry;
+        }
     }
 
     /// Seals one concluded request to disk before its verdict is
-    /// returned. Transiently failing appends are retried by
-    /// [`Appender::append`]; an error is returned only once every retry is
-    /// exhausted, and then the log holds no fragment of the record.
-    fn append(&mut self, record: &WalRecord) -> Result<(), RunError> {
+    /// returned: an admit of a graph the table does not hold writes the
+    /// graph's `Graph` line and the record in a single append.
+    /// Transiently failing appends are retried by [`Appender::append`]; an
+    /// error is returned only once every retry is exhausted, and then the
+    /// log holds no fragment of either line and the graph stays unsealed.
+    fn append(
+        &mut self,
+        request: &AdmitRequest,
+        outcome: AdmitOutcome,
+        digest: u64,
+    ) -> Result<(), RunError> {
+        let seq = self.seq;
+        let mut unsealed = None;
+        let request = match request {
+            AdmitRequest::Admit { id, graph, origin } => {
+                let g = match self.sealed_ordinal(graph) {
+                    Ok(g) => g,
+                    Err(hash) => {
+                        unsealed = Some((graph, hash));
+                        self.next_graph
+                    }
+                };
+                SealedRequest::Admit {
+                    id: *id,
+                    graph: g,
+                    origin: *origin,
+                }
+            }
+            AdmitRequest::Amend { id, delta } => SealedRequest::Amend {
+                id: *id,
+                delta: delta.clone(),
+            },
+        };
+        let record = WalRecord {
+            seq,
+            request,
+            outcome,
+            digest,
+        };
         #[allow(unused_mut)] // mutated only by the fault-inject hook below
-        let mut text = sealed_line("Sealed", record);
+        let mut line = sealed_line("Sealed", &record);
         #[cfg(feature = "fault-inject")]
         if fault_fires(
             &self.fault,
             FaultSite::AdmitLogCorrupt,
             self.system_size,
-            record.seq,
+            seq,
             0,
         ) {
-            crate::sealed_log::corrupt_digit(&mut text);
+            crate::sealed_log::corrupt_digit(&mut line);
         }
+        let mut text = match unsealed {
+            Some((graph, _)) => {
+                let sealed = WalGraph {
+                    g: self.next_graph,
+                    graph: Arc::clone(graph),
+                };
+                let mut text = sealed_line("Graph", &sealed);
+                text.push('\n');
+                text.push_str(&line);
+                text
+            }
+            None => line,
+        };
         text.push('\n');
 
         self.log.append(
@@ -690,7 +904,7 @@ impl AdmissionWal {
                     &self.fault,
                     FaultSite::AdmitLogIo,
                     self.system_size,
-                    record.seq,
+                    seq,
                     attempt,
                 )
                 .then(|| std::io::Error::other("injected admission log failure"))
@@ -698,7 +912,7 @@ impl AdmissionWal {
             |attempt, backoff, e| {
                 tracing::warn!(
                     path = %self.path.display(),
-                    seq = record.seq,
+                    seq = seq,
                     attempt = attempt,
                     backoff_ms = backoff.as_millis() as u64,
                     "admission log append failed ({e}); retrying"
@@ -706,34 +920,90 @@ impl AdmissionWal {
                 telemetry::global().count_admission_log_retry();
             },
         )?;
-        self.seq = record.seq + 1;
+        if let Some((graph, hash)) = unsealed {
+            self.remember(graph, hash, self.next_graph);
+            self.next_graph += 1;
+            telemetry::global().count_admission_wal_graph();
+        }
+        self.seq = seq + 1;
         Ok(())
     }
 
-    /// Loads every sealed record from the log at `path`, verifying the
-    /// header fingerprint against `config`, each record's seal, and
-    /// sequence contiguity. A torn final line is skipped.
-    fn load(path: &Path, config: &AdmitConfig) -> Result<Loaded<WalRecord>, RunError> {
+    /// Loads the log at `path`, verifying the header fingerprint against
+    /// `config`, each line's seal, the contiguity of record sequences and
+    /// graph ordinals, and that every admit names a graph sealed before
+    /// it; each reference resolves to the one shared allocation of its
+    /// graph. A torn final line — a `Graph` line or a record — is skipped.
+    fn load(path: &Path, config: &AdmitConfig) -> Result<LoadedWal, RunError> {
         let corrupt = |detail: String| RunError::CheckpointCorrupt {
             path: path.to_path_buf(),
             detail,
         };
-        let loaded = sealed_log::load(
+        let Loaded {
+            records: lines,
+            tail,
+        } = sealed_log::load(
             path,
             "an admission log",
             wal_fingerprint(config),
             |tag, json| match tag {
-                "Sealed" => serde_json::from_str::<WalRecord>(json).ok(),
+                "Graph" => serde_json::from_str(json).ok().map(WalEntry::Graph),
+                "Sealed" => serde_json::from_str(json).ok().map(WalEntry::Sealed),
                 _ => None,
             },
         )?
         .ok_or_else(|| corrupt("log file is empty (no header)".to_owned()))?;
-        for (seq, (line_no, record)) in loaded.records.iter().enumerate() {
-            if record.seq != seq as u64 {
-                return Err(corrupt(format!("record sequence gap at line {line_no}")));
+        let mut graphs: Vec<Arc<TaskGraph>> = Vec::new();
+        let mut records = Vec::new();
+        for (line_no, entry) in lines {
+            match entry {
+                WalEntry::Graph(WalGraph { g, graph }) => {
+                    if g != graphs.len() as u64 {
+                        return Err(corrupt(format!("graph ordinal gap at line {line_no}")));
+                    }
+                    graphs.push(graph);
+                }
+                WalEntry::Sealed(WalRecord {
+                    seq,
+                    request,
+                    outcome,
+                    digest,
+                }) => {
+                    if seq != records.len() as u64 {
+                        return Err(corrupt(format!("record sequence gap at line {line_no}")));
+                    }
+                    let request = match request {
+                        SealedRequest::Admit { id, graph, origin } => {
+                            let graph = usize::try_from(graph)
+                                .ok()
+                                .and_then(|g| graphs.get(g))
+                                .ok_or_else(|| {
+                                    corrupt(format!(
+                                        "record names unsealed graph {graph} at line {line_no}"
+                                    ))
+                                })?;
+                            AdmitRequest::Admit {
+                                id,
+                                graph: Arc::clone(graph),
+                                origin,
+                            }
+                        }
+                        SealedRequest::Amend { id, delta } => AdmitRequest::Amend { id, delta },
+                    };
+                    records.push(LoadedRecord {
+                        seq,
+                        request,
+                        outcome,
+                        digest,
+                    });
+                }
             }
         }
-        Ok(loaded)
+        Ok(LoadedWal {
+            records,
+            graphs,
+            tail,
+        })
     }
 }
 
@@ -860,14 +1130,17 @@ impl AdmissionController {
         path: impl AsRef<Path>,
     ) -> Result<(AdmissionController, AdmissionLog), AdmitError> {
         let path = path.as_ref();
-        let Loaded { records, tail } =
-            AdmissionWal::load(path, &config).map_err(AdmitError::Log)?;
+        let LoadedWal {
+            records,
+            graphs,
+            tail,
+        } = AdmissionWal::load(path, &config).map_err(AdmitError::Log)?;
         let mut replay_config = config.clone();
         replay_config.wal_path = None;
         let mut controller = AdmissionController::new(replay_config)?;
         let mut log = AdmissionLog::default();
-        for (_, record) in records {
-            let WalRecord {
+        for record in records {
+            let LoadedRecord {
                 seq,
                 request,
                 outcome: recorded,
@@ -920,8 +1193,10 @@ impl AdmissionController {
         log.digest = controller.digest();
         log.residents = controller.residents();
         let next = log.requests.len() as u64;
-        controller.wal =
-            Some(AdmissionWal::open(path, &config, Some((tail, next))).map_err(AdmitError::Log)?);
+        controller.wal = Some(
+            AdmissionWal::open(path, &config, Some((tail, next, &graphs)))
+                .map_err(AdmitError::Log)?,
+        );
         controller.config.wal_path = Some(path.to_path_buf());
         Ok((controller, log))
     }
@@ -1009,23 +1284,14 @@ impl AdmissionController {
         if matches!(result, Err(AdmitError::Prefilter(_))) {
             telemetry::global().count_admission_prefiltered();
         }
-        if self.wal.is_some() {
-            let outcome = AdmitOutcome::of(&result);
-            let record = WalRecord {
-                seq: self.wal.as_ref().map_or(0, |wal| wal.seq),
-                request: request.clone(),
-                outcome,
-                digest: self.state.digest(),
-            };
-            if let Some(wal) = self.wal.as_mut() {
-                if let Err(e) = wal.append(&record) {
-                    tracing::warn!(
-                        path = %wal.path.display(),
-                        seq = record.seq,
-                        "admission log append exhausted retries ({e}); verdict returned undurable"
-                    );
-                    telemetry::global().count_admission_log_failure();
-                }
+        if let Some(wal) = self.wal.as_mut() {
+            if let Err(e) = wal.append(request, AdmitOutcome::of(&result), self.state.digest()) {
+                tracing::warn!(
+                    path = %wal.path.display(),
+                    seq = wal.seq,
+                    "admission log append exhausted retries ({e}); verdict returned undurable"
+                );
+                telemetry::global().count_admission_log_failure();
             }
         }
         result
@@ -2327,10 +2593,11 @@ mod tests {
         assert_eq!(again.digest(), digest);
     }
 
-    /// One WAL record per request kind × outcome kind: admit and amend
-    /// requests, each concluded as an admit verdict, a reject verdict, a
-    /// refusal, a shed and a worker failure.
-    fn every_kind_of_wal_record() -> Vec<WalRecord> {
+    /// One WAL line of each kind: a `Graph` line, then one record per
+    /// request kind × outcome kind — admit (referencing that graph) and
+    /// amend requests, each concluded as an admit verdict, a reject
+    /// verdict, a refusal, a shed and a worker failure.
+    fn every_kind_of_wal_record() -> Vec<WalEntry> {
         let verdict = |admitted| AdmitVerdict {
             id: 4,
             admitted,
@@ -2351,12 +2618,12 @@ mod tests {
             },
         ];
         let requests = [
-            AdmitRequest::Admit {
+            SealedRequest::Admit {
                 id: 4,
-                graph: graph(4),
+                graph: 0,
                 origin: Time::new(300),
             },
-            AdmitRequest::Amend {
+            SealedRequest::Amend {
                 id: 4,
                 delta: GraphDelta::new().push(DeltaOp::SetWcet {
                     subtask: SubtaskId::new(2),
@@ -2364,18 +2631,23 @@ mod tests {
                 }),
             },
         ];
-        let mut records = Vec::new();
+        let mut entries = vec![WalEntry::Graph(WalGraph {
+            g: 0,
+            graph: graph(4),
+        })];
+        let mut seq = 0;
         for request in &requests {
             for outcome in &outcomes {
-                records.push(WalRecord {
-                    seq: records.len() as u64,
+                entries.push(WalEntry::Sealed(WalRecord {
+                    seq,
                     request: request.clone(),
                     outcome: outcome.clone(),
-                    digest: 0xFEA5_7000 + records.len() as u64,
-                });
+                    digest: 0xFEA5_7000 + seq,
+                }));
+                seq += 1;
             }
         }
-        records
+        entries
     }
 
     /// The admission log line format as a derived serde enum: the oracle
@@ -2384,7 +2656,25 @@ mod tests {
     #[derive(Serialize)]
     enum WalLine {
         Header { fingerprint: u64, label: String },
+        Graph { crc: u32, record: WalGraph },
         Sealed { crc: u32, record: WalRecord },
+    }
+
+    impl WalLine {
+        /// The derived encoding of `entry`.
+        fn of(entry: &WalEntry) -> String {
+            let line = match entry.clone() {
+                WalEntry::Graph(record) => WalLine::Graph {
+                    crc: seal(&record),
+                    record,
+                },
+                WalEntry::Sealed(record) => WalLine::Sealed {
+                    crc: seal(&record),
+                    record,
+                },
+            };
+            serde_json::to_string(&line).unwrap()
+        }
     }
 
     #[test]
@@ -2399,24 +2689,20 @@ mod tests {
             std::fs::read_to_string(&wal.0).unwrap(),
             serde_json::to_string(&derived).unwrap() + "\n"
         );
-        for record in every_kind_of_wal_record() {
-            let derived = WalLine::Sealed {
-                crc: seal(&record),
-                record: record.clone(),
+        for entry in every_kind_of_wal_record() {
+            let sealed = match &entry {
+                WalEntry::Graph(graph) => sealed_line("Graph", graph),
+                WalEntry::Sealed(record) => sealed_line("Sealed", record),
             };
-            assert_eq!(
-                sealed_line("Sealed", &record),
-                serde_json::to_string(&derived).unwrap(),
-                "record {}",
-                record.seq
-            );
+            assert_eq!(sealed, WalLine::of(&entry), "{entry:?}");
         }
     }
 
     #[test]
     fn admit_requests_serialize_their_graph_inline() {
         // `Arc` is transparent: an admit request encodes its whole graph
-        // in place, so a log is self-contained.
+        // in place, so a transcript is self-contained. (The WAL seals
+        // the graph once on a `Graph` line instead; see `SealedRequest`.)
         let shared = graph(5);
         let request = AdmitRequest::Admit {
             id: 5,
@@ -2454,8 +2740,20 @@ mod tests {
                 }),
             )
             .unwrap();
-        assert!(durable.admit(1, graph(9), Time::ZERO).is_err());
+        // A refused admit of an unseen graph still seals it: every admit
+        // record references a graph, whatever its outcome.
+        assert!(durable.admit(1, graph(99), Time::ZERO).is_err());
         durable.digest()
+    }
+
+    /// The number of lines of `path` that start with `{"<tag>"`.
+    fn lines_tagged(path: &Path, tag: &str) -> usize {
+        let prefix = format!("{{\"{tag}\"");
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .filter(|line| line.starts_with(&prefix))
+            .count()
     }
 
     #[test]
@@ -2464,19 +2762,52 @@ mod tests {
         let digest = write_mixed_log(&wal.0);
         let written = std::fs::read(&wal.0).unwrap();
 
-        // Re-encode every record through the derived `WalLine` encoder.
+        // Re-encode the log through the derived `WalLine` encoder: each
+        // graph on a `Graph` line just before the first record naming it
+        // (both went out in one append), every admit by that ordinal.
         let header = written.split(|&b| b == b'\n').next().unwrap();
         let mut derived = header.to_vec();
         derived.push(b'\n');
         let loaded = AdmissionWal::load(&wal.0, &config(8)).unwrap();
-        for (_, record) in &loaded.records {
-            let line = WalLine::Sealed {
-                crc: seal(record),
-                record: record.clone(),
+        let mut sealed = 0;
+        for record in &loaded.records {
+            let request = match &record.request {
+                AdmitRequest::Admit { id, graph, origin } => {
+                    let g = loaded
+                        .graphs
+                        .iter()
+                        .position(|sealed| Arc::ptr_eq(sealed, graph))
+                        .expect("a loaded admit shares its graph's allocation");
+                    if g == sealed {
+                        let line = WalLine::of(&WalEntry::Graph(WalGraph {
+                            g: g as u64,
+                            graph: Arc::clone(graph),
+                        }));
+                        derived.extend_from_slice(line.as_bytes());
+                        derived.push(b'\n');
+                        sealed += 1;
+                    }
+                    SealedRequest::Admit {
+                        id: *id,
+                        graph: g as u64,
+                        origin: *origin,
+                    }
+                }
+                AdmitRequest::Amend { id, delta } => SealedRequest::Amend {
+                    id: *id,
+                    delta: delta.clone(),
+                },
             };
-            derived.extend_from_slice(serde_json::to_string(&line).unwrap().as_bytes());
+            let line = WalLine::of(&WalEntry::Sealed(WalRecord {
+                seq: record.seq,
+                request,
+                outcome: record.outcome.clone(),
+                digest: record.digest,
+            }));
+            derived.extend_from_slice(line.as_bytes());
             derived.push(b'\n');
         }
+        assert_eq!(sealed, loaded.graphs.len(), "every graph sealed once");
         assert_eq!(derived, written, "the log format changed");
 
         let old = TempPath::new("derived-old");
@@ -2487,14 +2818,276 @@ mod tests {
         assert!(log.matches(&log.replay(&config(8)).unwrap()));
     }
 
-    /// Writes the log `intact` minus its last record to `path`; returns
-    /// that last record.
-    fn all_but_the_last_record<'a>(intact: &'a [u8], path: &Path) -> &'a [u8] {
-        let last_start = intact[..intact.len() - 1]
+    #[test]
+    fn each_distinct_graph_is_sealed_once() {
+        let wal = TempPath::new("graph-once");
+        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        let shared = graph(1);
+        let equal = Arc::new((*shared).clone());
+        assert!(!Arc::ptr_eq(&shared, &equal));
+        let mut requests = vec![
+            (1, Arc::clone(&shared)),
+            (2, Arc::clone(&shared)),
+            // Equal content in a distinct allocation: the hash filter and
+            // the equality witness find it.
+            (3, equal),
+            (4, graph(2)),
+            // A refused admit references its graph too.
+            (4, Arc::clone(&shared)),
+        ];
+        for (id, graph) in &requests {
+            let _ = durable.admit(*id, Arc::clone(graph), Time::new(*id as i64 * 50));
+        }
+        let digest = durable.digest();
+        drop(durable);
+
+        assert_eq!(lines_tagged(&wal.0, "Graph"), 2);
+        assert_eq!(lines_tagged(&wal.0, "Sealed"), requests.len());
+        let loaded = AdmissionWal::load(&wal.0, &config(8)).unwrap();
+        let ordinals: Vec<usize> = loaded
+            .records
             .iter()
-            .rposition(|&b| b == b'\n')
-            .unwrap()
-            + 1;
+            .map(|record| match &record.request {
+                AdmitRequest::Admit { graph, .. } => loaded
+                    .graphs
+                    .iter()
+                    .position(|sealed| Arc::ptr_eq(sealed, graph))
+                    .unwrap(),
+                AdmitRequest::Amend { .. } => unreachable!("no amendments here"),
+            })
+            .collect();
+        assert_eq!(ordinals, [0, 0, 0, 1, 0]);
+
+        let (recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
+        let sent: Vec<AdmitRequest> = requests
+            .drain(..)
+            .map(|(id, graph)| AdmitRequest::Admit {
+                id,
+                origin: Time::new(id as i64 * 50),
+                graph,
+            })
+            .collect();
+        assert_eq!(log.requests, sent);
+    }
+
+    /// A two-subtask chain whose head runs `wcet`: distinct `wcet`s give
+    /// distinct graphs that are cheap to slice.
+    fn chain(wcet: i64) -> Arc<TaskGraph> {
+        let mut b = taskgraph::TaskGraphBuilder::new();
+        let head = b.add_subtask(taskgraph::Subtask::new(Time::new(wcet)).released_at(Time::ZERO));
+        let tail = b.add_subtask(taskgraph::Subtask::new(Time::new(1)).due_at(Time::new(5_000)));
+        b.add_edge(head, tail, 1).unwrap();
+        Arc::new(b.build().unwrap())
+    }
+
+    #[test]
+    fn graphs_cycled_past_the_table_are_resealed_and_recover_bit_identically() {
+        let wal = TempPath::new("graph-cycle");
+        let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        let distinct = SEALED_GRAPHS as i64 + 8;
+        let mut id = 0u64;
+        let mut admit = |durable: &mut AdmissionController, wcet: i64| {
+            // Arrivals far apart: each resident retires before the next.
+            let origin = Time::new(id as i64 * 10_000);
+            durable.admit(id, chain(wcet), origin).unwrap();
+            id += 1;
+        };
+        // Two passes over more distinct graphs than the table holds, each
+        // admit in a fresh allocation: every graph has left the table by
+        // its second use, so the second pass seals each one again.
+        for _ in 0..2 {
+            for wcet in 1..=distinct {
+                admit(&mut durable, wcet);
+            }
+        }
+        assert_eq!(lines_tagged(&wal.0, "Graph"), 2 * distinct as usize);
+        // The graph used last is still in the table: referenced, not
+        // sealed again.
+        admit(&mut durable, distinct);
+        assert_eq!(lines_tagged(&wal.0, "Graph"), 2 * distinct as usize);
+        let digest = durable.digest();
+        drop(durable);
+
+        let (recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+        assert_eq!(recovered.digest(), digest);
+        assert_eq!(log.outcomes.len(), 2 * distinct as usize + 1);
+        let expected: Vec<AdmitRequest> = (0..2 * distinct + 1)
+            .map(|i| AdmitRequest::Admit {
+                id: i as u64,
+                graph: chain(if i < 2 * distinct {
+                    i % distinct + 1
+                } else {
+                    distinct
+                }),
+                origin: Time::new(i * 10_000),
+            })
+            .collect();
+        assert_eq!(log.requests, expected);
+        assert!(log.matches(&log.replay(&config(8)).unwrap()));
+    }
+
+    #[test]
+    fn a_torn_graph_and_record_tail_recovers_and_resumes_twice() {
+        for torn_line in ["Graph", "Sealed"] {
+            let wal = TempPath::new("torn-graph");
+            let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+            durable.admit(1, graph(1), Time::ZERO).unwrap();
+            durable.admit(2, graph(2), Time::ZERO).unwrap();
+            drop(durable);
+
+            // The last append wrote graph(2)'s `Graph` line and its
+            // record together; a kill tears one of the two lines.
+            let text = std::fs::read_to_string(&wal.0).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let (graph_line, record_line) = (lines[lines.len() - 2], lines[lines.len() - 1]);
+            assert!(graph_line.starts_with("{\"Graph\""));
+            assert!(record_line.starts_with("{\"Sealed\""));
+            let record_start = text.len() - record_line.len() - 1;
+            let cut = match torn_line {
+                "Graph" => record_start - graph_line.len() / 2,
+                _ => record_start + record_line.len() / 2,
+            };
+            std::fs::write(&wal.0, &text[..cut]).unwrap();
+
+            let (mut recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+            assert_eq!(log.outcomes.len(), 1, "torn {torn_line} line");
+            let mut fresh = AdmissionController::new(config(8)).unwrap();
+            fresh.admit(1, graph(1), Time::ZERO).unwrap();
+            assert_eq!(recovered.digest(), fresh.digest());
+
+            // First resume: graph(2) again, in a new allocation. Its
+            // intact `Graph` line is referenced; a torn one is resealed.
+            recovered.admit(2, graph(2), Time::ZERO).unwrap();
+            let digest = recovered.digest();
+            drop(recovered);
+            assert_eq!(lines_tagged(&wal.0, "Graph"), 2, "torn {torn_line} line");
+
+            // Second resume, after a second recovery.
+            let (mut again, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+            assert_eq!(log.outcomes.len(), 2);
+            assert_eq!(again.digest(), digest);
+            again.admit(3, graph(3), Time::ZERO).unwrap();
+            let digest = again.digest();
+            drop(again);
+
+            let (last, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+            assert_eq!(log.outcomes.len(), 3);
+            assert_eq!(last.digest(), digest);
+            assert_eq!(lines_tagged(&wal.0, "Graph"), 3);
+            assert!(log.matches(&log.replay(&config(8)).unwrap()));
+        }
+    }
+
+    #[test]
+    fn a_reference_to_an_unsealed_graph_is_corrupt() {
+        let wal = TempPath::new("unsealed");
+        AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+        let header = std::fs::read_to_string(&wal.0).unwrap();
+        let admit = |graph| {
+            sealed_line(
+                "Sealed",
+                &WalRecord {
+                    seq: 0,
+                    request: SealedRequest::Admit {
+                        id: 1,
+                        graph,
+                        origin: Time::ZERO,
+                    },
+                    outcome: AdmitOutcome::Refused(Refusal::DuplicateId { id: 1 }),
+                    digest: 0,
+                },
+            )
+        };
+        let stray = sealed_line(
+            "Graph",
+            &WalGraph {
+                g: 1,
+                graph: graph(1),
+            },
+        );
+        for body in [
+            // A record naming a graph no line sealed.
+            admit(0),
+            admit(u64::MAX),
+            // A graph ordinal that skips 0.
+            format!("{stray}\n{}", admit(1)),
+        ] {
+            std::fs::write(&wal.0, format!("{header}{body}\n")).unwrap();
+            match AdmissionController::recover(config(8), &wal.0) {
+                Err(AdmitError::Log(RunError::CheckpointCorrupt { .. })) => {}
+                other => panic!("expected CheckpointCorrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_log_with_the_inline_graph_fingerprint_is_refused() {
+        // The record shape and fingerprint of logs written before graphs
+        // were sealed once: the whole graph inline in every record.
+        #[derive(Serialize)]
+        struct InlineRecord {
+            seq: u64,
+            request: AdmitRequest,
+            outcome: AdmitOutcome,
+            digest: u64,
+        }
+        let config = config(8);
+        let inline_fingerprint = stream_seed(
+            stream_seed(
+                fingerprint(&config.scenario),
+                stream_label(b"admission-wal"),
+                config.system_size as u64,
+                config.capacity as u64,
+            ),
+            stream_label(b"admission-wal-eviction"),
+            stream_label(config.eviction.name().as_bytes()),
+            0,
+        );
+        assert_ne!(inline_fingerprint, wal_fingerprint(&config));
+        let header = WalHeader {
+            fingerprint: inline_fingerprint,
+            label: config.scenario.label.clone(),
+        };
+        let mut live = AdmissionController::new(config.clone()).unwrap();
+        let request = AdmitRequest::Admit {
+            id: 1,
+            graph: graph(1),
+            origin: Time::ZERO,
+        };
+        let outcome = AdmitOutcome::of(&live.handle(&request));
+        let record = InlineRecord {
+            seq: 0,
+            request,
+            outcome,
+            digest: live.digest(),
+        };
+        let wal = TempPath::new("inline");
+        std::fs::write(
+            &wal.0,
+            format!(
+                "{{\"Header\":{}}}\n{}\n",
+                serde_json::to_string(&header).unwrap(),
+                sealed_line("Sealed", &record)
+            ),
+        )
+        .unwrap();
+        match AdmissionController::recover(config, &wal.0) {
+            Err(AdmitError::Log(RunError::CheckpointMismatch { .. })) => {}
+            other => panic!("expected a fingerprint mismatch, got {other:?}"),
+        }
+    }
+
+    /// Writes the log `intact` minus its last append to `path`; returns
+    /// that append (a record, or a `Graph` line and the record naming it).
+    fn all_but_the_last_append<'a>(intact: &'a [u8], path: &Path) -> &'a [u8] {
+        let line_start =
+            |end: usize| intact[..end - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        let mut last_start = line_start(intact.len());
+        let previous = line_start(last_start);
+        if intact[previous..].starts_with(b"{\"Graph\"") {
+            last_start = previous;
+        }
         std::fs::write(path, &intact[..last_start]).unwrap();
         &intact[last_start..]
     }
@@ -2519,10 +3112,11 @@ mod tests {
         let digest = write_mixed_log(&wal.0);
         let intact = std::fs::read(&wal.0).unwrap();
 
-        // Everything but the last record, then the last record through a
-        // writer that tears it after 100 bytes and fails once.
+        // Everything but the last append (a `Graph` line and its record),
+        // then that append through a writer that tears it after 100 bytes
+        // and fails once.
         let torn = TempPath::new("partial-torn");
-        let last = all_but_the_last_record(&intact, &torn.0);
+        let last = all_but_the_last_append(&intact, &torn.0);
         let mut retries = 0;
         flaky_appender(&torn.0, 1)
             .append(last, |_| None, |_, _, _| retries += 1)
@@ -2544,10 +3138,11 @@ mod tests {
         let digest = write_mixed_log(&wal.0);
         let intact = std::fs::read(&wal.0).unwrap();
 
-        // The writer accepts 100 bytes of the last record, then fails the
-        // rest of the first attempt and every retry.
+        // The writer accepts 100 bytes of the last append (a `Graph` line
+        // and its record), then fails the rest of the first attempt and
+        // every retry.
         let torn = TempPath::new("exhausted-torn");
-        let last = all_but_the_last_record(&intact, &torn.0);
+        let last = all_but_the_last_append(&intact, &torn.0);
         let before = std::fs::read(&torn.0).unwrap();
         let mut log = flaky_appender(&torn.0, Runner::CHECKPOINT_RETRY_LIMIT + 1);
         assert!(log.append(last, |_| None, |_, _, _| {}).is_err());
@@ -2557,7 +3152,7 @@ mod tests {
             "the fragment is cut back to the last sealed byte"
         );
 
-        // The writer has recovered: the next record lands on a fresh line.
+        // The writer has recovered: the next append lands on a fresh line.
         log.append(last, |_| None, |_, _, _| {}).unwrap();
         assert_eq!(std::fs::read(&torn.0).unwrap(), intact);
         let (recovered, _) = AdmissionController::recover(config(8), &torn.0).unwrap();
@@ -2880,6 +3475,42 @@ mod tests {
             let (recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
             assert_eq!(log.outcomes.len(), 3, "no record lost to the faults");
             assert_eq!(recovered.digest(), digest);
+        }
+
+        #[test]
+        fn an_exhausted_append_leaves_no_graph_line_and_the_next_admit_reseals_it() {
+            let wal = TempPath::new("exhausted-graph");
+            let mut durable = AdmissionController::new(config(8).durable(&wal.0)).unwrap();
+            durable.admit(1, graph(1), Time::ZERO).unwrap();
+            let before = std::fs::read(&wal.0).unwrap();
+
+            // An outage that outlasts every retry of the next append (a
+            // refused admit of a new graph: it leaves no state trace, so
+            // losing its record cannot diverge recovery), then clears.
+            let outage = FaultPlan::new(1).with_fault(FaultSpec::new(FaultSite::AdmitLogIo, 1.0));
+            durable.wal.as_mut().unwrap().fault = Some(Arc::new(outage));
+            assert!(matches!(
+                durable.admit(1, graph(2), Time::ZERO),
+                Err(AdmitError::DuplicateId { id: 1 })
+            ));
+            assert_eq!(
+                std::fs::read(&wal.0).unwrap(),
+                before,
+                "neither the Graph line nor the record was left behind"
+            );
+            durable.wal.as_mut().unwrap().fault = None;
+
+            // The graph was never entered as sealed: its next admit seals
+            // it, under the ordinal the lost append would have used.
+            durable.admit(2, graph(2), Time::ZERO).unwrap();
+            let digest = durable.digest();
+            drop(durable);
+            assert_eq!(lines_tagged(&wal.0, "Graph"), 2);
+            assert_eq!(lines_tagged(&wal.0, "Sealed"), 2);
+            let (recovered, log) = AdmissionController::recover(config(8), &wal.0).unwrap();
+            assert_eq!(recovered.digest(), digest);
+            assert_eq!(log.outcomes.len(), 2);
+            assert!(log.matches(&log.replay(&config(8)).unwrap()));
         }
 
         #[test]

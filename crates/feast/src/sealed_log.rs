@@ -6,10 +6,15 @@
 //! binds the file to the configuration that wrote it. Every further line
 //! seals one record, `{"<tag>":{"crc":N,"record":<record>}}`, where `N` is
 //! the IEEE CRC32 of the record's JSON exactly as written, so any altered
-//! byte breaks the seal. A *final* line that does not parse is the record
-//! a killed process tore: [`load`] skips it and [`Appender::reopen`] cuts
-//! it off. Any other unreadable or seal-breaking line is a typed
-//! [`RunError::CheckpointCorrupt`].
+//! byte breaks the seal. The tag names the record's kind: the checkpoint
+//! writes `Sealed` and `Failed` lines, the admission log `Graph` lines (each
+//! distinct task graph, once) and `Sealed` lines (one concluded request
+//! each). One [`Appender::append`] may carry several lines — the admission
+//! log writes a new graph's `Graph` line and the record naming it
+//! together — so a request still costs one write. A *final* line that does
+//! not parse is the one a killed process tore, whatever its kind: [`load`]
+//! skips it and [`Appender::reopen`] cuts it off. Any other unreadable or
+//! seal-breaking line is a typed [`RunError::CheckpointCorrupt`].
 //!
 //! Durability covers process kill only: an append reaches the OS before it
 //! returns, but nothing calls `sync_data`, so an OS crash or power loss
@@ -44,8 +49,8 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// IEEE CRC32 (the zlib/PNG polynomial), one table lookup per byte: an
-/// admission log record carries its whole task graph (several KB), so a
-/// bit-at-a-time loop would dominate the cost of sealing it.
+/// admission log `Graph` line carries a whole task graph (several KB), so
+/// a bit-at-a-time loop would dominate the cost of sealing it.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !bytes.iter().fold(!0u32, |crc, &b| {
         (crc >> 8) ^ CRC32_TABLE[usize::from((crc as u8) ^ b)]
@@ -215,7 +220,7 @@ impl LogFile for File {
     }
 }
 
-/// The append half of a sealed log: unbuffered, so each record goes out in
+/// The append half of a sealed log: unbuffered, so each append goes out in
 /// one write, and tracking the offset of the last sealed byte.
 #[derive(Debug)]
 pub(crate) struct Appender<F = File> {
@@ -269,13 +274,13 @@ impl<F: LogFile> Appender<F> {
         Appender { file, end }
     }
 
-    /// Appends `line` (newline included) and flushes it, retrying a failed
-    /// attempt with exponential backoff
+    /// Appends `line` — one or more sealed lines, each with its newline —
+    /// and flushes it, retrying a failed attempt with exponential backoff
     /// ([`Runner::CHECKPOINT_RETRY_LIMIT`] / [`Runner::CHECKPOINT_BACKOFF_BASE`]).
     /// A retry resumes after the bytes the file already accepted, so a
     /// write that fails partway leaves no second copy; a failure that
     /// survives every retry cuts the file back to the last sealed byte, so
-    /// it leaves no fragment either. `inject(attempt)` is the fault hook:
+    /// it leaves no fragment of any of the lines either. `inject(attempt)` is the fault hook:
     /// an error it returns fails that attempt before any byte is written.
     /// `on_retry(attempt, backoff, error)` reports each retry before its
     /// backoff sleep.

@@ -262,6 +262,7 @@ pub struct Registry {
     slice_cache_evictions: AtomicU64,
     admission_log_retries: AtomicU64,
     admission_log_failures: AtomicU64,
+    admission_wal_graphs: AtomicU64,
     admission: DurationHistogram,
     admission_sojourn: DurationHistogram,
     generate: DurationHistogram,
@@ -430,6 +431,13 @@ impl Registry {
         self.admission_log_failures.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one task graph sealed on its own `Graph` line of an
+    /// admission WAL (admits of a graph the log already holds reference
+    /// it instead).
+    pub fn count_admission_wal_graph(&self) {
+        self.admission_wal_graphs.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one non-shed request's queue sojourn: submission to
     /// decision, including queue wait and slicing.
     pub fn record_admission_sojourn(&self, elapsed: Duration) {
@@ -486,6 +494,11 @@ impl Registry {
     /// Admission-WAL appends that failed past every retry.
     pub fn admission_log_failures(&self) -> u64 {
         self.admission_log_failures.load(Ordering::Relaxed)
+    }
+
+    /// Task graphs sealed on their own admission-WAL `Graph` line.
+    pub fn admission_wal_graphs(&self) -> u64 {
+        self.admission_wal_graphs.load(Ordering::Relaxed)
     }
 
     /// The submission-to-decision sojourn histogram (non-shed requests).
@@ -595,6 +608,7 @@ impl Registry {
             slice_cache_evictions: self.slice_cache_evictions(),
             admission_log_retries: self.admission_log_retries(),
             admission_log_failures: self.admission_log_failures(),
+            admission_wal_graphs: self.admission_wal_graphs(),
             admission: self.admission.snapshot(),
             admission_sojourn: self.admission_sojourn.snapshot(),
             generate: self.generate.snapshot(),
@@ -632,6 +646,7 @@ impl Registry {
         self.slice_cache_evictions.store(0, Ordering::Relaxed);
         self.admission_log_retries.store(0, Ordering::Relaxed);
         self.admission_log_failures.store(0, Ordering::Relaxed);
+        self.admission_wal_graphs.store(0, Ordering::Relaxed);
         self.admission.reset();
         self.admission_sojourn.reset();
         self.generate.reset();
@@ -812,6 +827,11 @@ pub struct MetricsSnapshot {
     /// Admission-WAL appends that failed past every retry.
     #[serde(default)]
     pub admission_log_failures: u64,
+    /// Task graphs sealed on their own admission-WAL `Graph` line; over
+    /// the admits sealed, the share of admits whose graph was new to the
+    /// log.
+    #[serde(default)]
+    pub admission_wal_graphs: u64,
     /// Admission-decision service-time histogram.
     #[serde(default)]
     pub admission: StageSnapshot,
@@ -876,6 +896,7 @@ impl MetricsSnapshot {
             slice_cache_evictions: self.slice_cache_evictions + other.slice_cache_evictions,
             admission_log_retries: self.admission_log_retries + other.admission_log_retries,
             admission_log_failures: self.admission_log_failures + other.admission_log_failures,
+            admission_wal_graphs: self.admission_wal_graphs + other.admission_wal_graphs,
             admission: self.admission.merge(&other.admission),
             admission_sojourn: self.admission_sojourn.merge(&other.admission_sojourn),
             generate: self.generate.merge(&other.generate),
@@ -961,6 +982,9 @@ impl MetricsSnapshot {
             admission_log_failures: self
                 .admission_log_failures
                 .saturating_sub(earlier.admission_log_failures),
+            admission_wal_graphs: self
+                .admission_wal_graphs
+                .saturating_sub(earlier.admission_wal_graphs),
             admission: self.admission.delta(&earlier.admission),
             admission_sojourn: self.admission_sojourn.delta(&earlier.admission_sojourn),
             generate: self.generate.delta(&earlier.generate),

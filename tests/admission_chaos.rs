@@ -85,17 +85,17 @@ fn run_child(wal: &str) -> ! {
     std::process::exit(0)
 }
 
-/// Newline-terminated records in the log (excluding the header). A line
+/// Newline-terminated records in the log: `Sealed` lines only, not the
+/// header or the `Graph` lines that hold each distinct graph once. A line
 /// still missing its newline is an append in flight — its verdict has not
 /// been returned, so it does not count as sealed.
 fn sealed_lines(path: &PathBuf) -> usize {
     std::fs::read(path)
         .map(|bytes| {
             bytes
-                .iter()
-                .filter(|&&byte| byte == b'\n')
+                .split_inclusive(|&byte| byte == b'\n')
+                .filter(|line| line.starts_with(b"{\"Sealed\"") && line.ends_with(b"\n"))
                 .count()
-                .saturating_sub(1)
         })
         .unwrap_or(0)
 }

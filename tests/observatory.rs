@@ -122,6 +122,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         admissions_prefiltered,
         admission_log_retries,
         admission_log_failures,
+        admission_wal_graphs,
         slice_cache_hits,
         slice_cache_misses,
         slice_cache_evictions,
@@ -158,6 +159,7 @@ fn for_every_field(snap: &MetricsSnapshot, check: impl Fn(&str, u64)) {
         ("admissions_prefiltered", *admissions_prefiltered),
         ("admission_log_retries", *admission_log_retries),
         ("admission_log_failures", *admission_log_failures),
+        ("admission_wal_graphs", *admission_wal_graphs),
         ("slice_cache_hits", *slice_cache_hits),
         ("slice_cache_misses", *slice_cache_misses),
         ("slice_cache_evictions", *slice_cache_evictions),
@@ -225,6 +227,7 @@ fn populated_registry() -> Registry {
     registry.count_admission_structural_fallback();
     registry.count_admission_log_retry();
     registry.count_admission_log_failure();
+    registry.count_admission_wal_graph();
     registry.count_admission_prefiltered();
     registry.count_slice_cache_hit();
     registry.count_slice_cache_miss();
