@@ -28,9 +28,21 @@
 //! (and, under [`BusModel::Contention`], bus reservations) for the winning
 //! candidate are captured during that trial pass and spliced in on commit —
 //! the winner is never re-evaluated. Under [`BusModel::Delay`] the bus
-//! timeline is never touched at all. The `reference` submodule keeps the
-//! original two-pass scheduler as the behavioural oracle; a proptest suite
-//! asserts both produce bit-identical [`Schedule`]s.
+//! timeline is never touched at all, and message slots are built for the
+//! winner only.
+//!
+//! Each run reads the platform's per-item transfer costs into a `P × P`
+//! table once, and each dispatch gathers its inputs (producer processor,
+//! finish time, message size) once; every candidate is then scored from
+//! those alone. A candidate's start can be no earlier than the latest of
+//! its static bound and each input's producer finish plus transfer time,
+//! so a candidate whose bound already reaches the best start found is
+//! skipped before any bus snapshot or timeline query — it could not win
+//! the strict `<` that picks the earliest start.
+//!
+//! The `reference` submodule keeps the original two-pass scheduler as the
+//! behavioural oracle; a proptest suite asserts both produce bit-identical
+//! [`Schedule`]s.
 
 use std::cmp::Reverse;
 
@@ -42,7 +54,7 @@ use taskgraph::{SubtaskId, TaskGraph, Time};
 use crate::bus::BusModel;
 use crate::committed::CommittedState;
 use crate::timeline::Timeline;
-use crate::workspace::{DispatchRecord, Provenance, SchedWorkspace};
+use crate::workspace::{DispatchRecord, Input, Provenance, SchedWorkspace};
 use crate::{MessageSlot, SchedError, Schedule, ScheduleEntry};
 
 #[cfg(test)]
@@ -198,8 +210,9 @@ impl ListScheduler {
     ///
     /// Behaviourally identical to [`ListScheduler::schedule`] — the
     /// workspace is fully reset on entry and carries no state between calls
-    /// — but steady-state calls allocate nothing beyond the two `Vec`s owned
-    /// by the returned [`Schedule`].
+    /// — but its buffers are reused, so steady-state calls allocate only
+    /// the returned [`Schedule`]'s two `Vec`s and the run's repair
+    /// provenance (see [`SchedWorkspace`]).
     ///
     /// # Errors
     ///
@@ -650,8 +663,11 @@ impl ListScheduler {
             missing_preds,
             ready,
             all_procs,
+            cost,
+            inputs,
             trial_slots,
             best_slots,
+            pruned,
             miss_log,
             log,
             provenance: _,
@@ -661,6 +677,15 @@ impl ListScheduler {
         // for every dispatch. (Already populated when continuing a repair.)
         if all_procs.is_empty() {
             all_procs.extend(platform.processors());
+        }
+        // Per-item transfer costs, one row per receiving processor. The
+        // diagonal is zero, so a local input's arrival needs no branch.
+        let np = platform.processor_count();
+        cost.clear();
+        for to in platform.processors() {
+            for from in platform.processors() {
+                cost.push(platform.comm_cost(from, to, 1)?);
+            }
         }
 
         // `(deadline, id)` keys are unique (ids are), so the min-heap pops
@@ -673,26 +698,49 @@ impl ListScheduler {
                 None => all_procs,
             };
             let static_lb = self.static_lower_bound(graph, assignment, id);
+            let wcet = graph.subtask(id).wcet();
+            inputs.clear();
+            inputs.extend(graph.in_edges(id).iter().map(|&eid| {
+                let edge = graph.edge(eid);
+                let producer =
+                    placed[edge.src().index()].expect("list order guarantees scheduled preds");
+                Input {
+                    edge: eid,
+                    from: producer.processor,
+                    finish: producer.finish,
+                    items: edge.items() as i64,
+                }
+            }));
 
             // Estimate the earliest start on each candidate against the
-            // committed state, capturing the candidate's message slots (and
-            // implied bus reservations); the winner's are spliced in below
-            // without re-running the computation.
+            // committed state. A candidate's start is at least the latest
+            // of its static bound and every input's producer finish plus
+            // transfer time; once that bound reaches the best start so far
+            // the candidate cannot win the strict `<` and is skipped before
+            // its bus snapshot or timeline query. Under the delay model the
+            // bound is the exact data-ready time.
             let mut best: Option<(Time, ProcessorId)> = None;
             for &p in candidates {
-                trial_slots.clear();
-                let start = self.earliest_start(
-                    graph,
-                    platform,
-                    static_lb,
-                    placed,
-                    procs,
-                    bus,
-                    trial_bus,
-                    trial_slots,
-                    id,
-                    p,
-                )?;
+                let row = &cost[p.index() * np..(p.index() + 1) * np];
+                let bound = inputs.iter().fold(static_lb, |lb, i| {
+                    lb.max(i.finish + row[i.from.index()] * i.items)
+                });
+                if best.is_some_and(|(s, _)| bound >= s) {
+                    *pruned += 1;
+                    continue;
+                }
+                let data_ready = match self.bus {
+                    BusModel::Delay => bound,
+                    BusModel::Contention => {
+                        trial_slots.clear();
+                        Self::contended_ready(bus, trial_bus, trial_slots, inputs, row, p)
+                            .max(static_lb)
+                    }
+                };
+                let start = match self.placement {
+                    PlacementPolicy::Insertion => procs[p.index()].earliest_gap(data_ready, wcet),
+                    PlacementPolicy::Append => procs[p.index()].append_start(data_ready),
+                };
                 if best.is_none_or(|(s, _)| start < s) {
                     best = Some((start, p));
                     std::mem::swap(best_slots, trial_slots);
@@ -700,16 +748,31 @@ impl ListScheduler {
             }
             let (start, proc) = best.ok_or(SchedError::Unschedulable(id))?;
 
-            // Commit: replaying the winner's slots in edge order rebuilds
-            // exactly the bus state its trial pass computed.
-            for slot in best_slots.drain(..) {
-                if self.bus == BusModel::Contention {
-                    bus.reserve(slot.depart, slot.arrive - slot.depart);
+            // Commit the winner's messages. Under contention, replaying its
+            // trial slots in edge order rebuilds exactly the bus state its
+            // trial pass computed; under the delay model every remote input
+            // departs when its producer finishes.
+            match self.bus {
+                BusModel::Delay => {
+                    let row = &cost[proc.index() * np..(proc.index() + 1) * np];
+                    for i in inputs.iter().filter(|i| i.from != proc) {
+                        messages[i.edge.index()] = Some(MessageSlot {
+                            edge: i.edge,
+                            from: i.from,
+                            to: proc,
+                            depart: i.finish,
+                            arrive: i.finish + row[i.from.index()] * i.items,
+                        });
+                    }
                 }
-                messages[slot.edge.index()] = Some(slot);
+                BusModel::Contention => {
+                    for slot in best_slots.drain(..) {
+                        bus.reserve(slot.depart, slot.arrive - slot.depart);
+                        messages[slot.edge.index()] = Some(slot);
+                    }
+                }
             }
 
-            let wcet = graph.subtask(id).wcet();
             let finish = start + wcet;
             procs[proc.index()].reserve(start, wcet);
             placed[id.index()] = Some(ScheduleEntry {
@@ -786,79 +849,60 @@ impl ListScheduler {
         ))
     }
 
-    /// Earliest start of `id` on processor `p` against the committed state,
-    /// with the message slot of every remote input pushed onto `slots`.
+    /// Under [`BusModel::Contention`]: when every input of a subtask placed
+    /// on `p` has arrived, with each remote transfer queued for the bus in
+    /// edge order and its message slot pushed onto `slots`. `row` holds the
+    /// per-item costs into `p`.
     ///
-    /// The committed `bus` is read-only here: under the contention model the
-    /// implied reservations are simulated on `trial_bus` (snapshotted lazily
-    /// at the first remote input); under the delay model the bus is not
-    /// consulted at all. The caller replays the winning candidate's slots
-    /// into the committed state.
-    #[allow(clippy::too_many_arguments)]
-    fn earliest_start(
-        &self,
-        graph: &TaskGraph,
-        platform: &Platform,
-        static_lb: Time,
-        placed: &[Option<ScheduleEntry>],
-        procs: &[Timeline],
+    /// The committed `bus` is read-only here: the implied reservations are
+    /// simulated on `trial_bus`, snapshotted lazily at the first remote
+    /// input. The caller replays the winning candidate's slots into the
+    /// committed state.
+    fn contended_ready(
         bus: &Timeline,
         trial_bus: &mut Timeline,
         slots: &mut Vec<MessageSlot>,
-        id: SubtaskId,
+        inputs: &[Input],
+        row: &[Time],
         p: ProcessorId,
-    ) -> Result<Time, SchedError> {
+    ) -> Time {
         let mut data_ready = Time::ZERO;
         let mut snapshotted = false;
-        for &eid in graph.in_edges(id) {
-            let edge = graph.edge(eid);
-            let producer =
-                placed[edge.src().index()].expect("list order guarantees scheduled preds");
-            if producer.processor == p {
-                data_ready = data_ready.max(producer.finish);
+        for i in inputs {
+            if i.from == p {
+                data_ready = data_ready.max(i.finish);
                 continue;
             }
-            let cost = platform.comm_cost(producer.processor, p, edge.items())?;
-            let depart = match self.bus {
-                BusModel::Delay => producer.finish,
-                BusModel::Contention => {
-                    if !snapshotted {
-                        trial_bus.clone_from(bus);
-                        snapshotted = true;
-                    }
-                    let depart = trial_bus.earliest_gap(producer.finish, cost);
-                    trial_bus.reserve(depart, cost);
-                    depart
-                }
-            };
+            let cost = row[i.from.index()] * i.items;
+            if !snapshotted {
+                trial_bus.clone_from(bus);
+                snapshotted = true;
+            }
+            let depart = trial_bus.earliest_gap(i.finish, cost);
+            trial_bus.reserve(depart, cost);
             let arrive = depart + cost;
             data_ready = data_ready.max(arrive);
             slots.push(MessageSlot {
-                edge: eid,
-                from: producer.processor,
+                edge: i.edge,
+                from: i.from,
                 to: p,
                 depart,
                 arrive,
             });
         }
-
-        let lower_bound = data_ready.max(static_lb);
-        let wcet = graph.subtask(id).wcet();
-        let start = match self.placement {
-            PlacementPolicy::Insertion => procs[p.index()].earliest_gap(lower_bound, wcet),
-            PlacementPolicy::Append => procs[p.index()].append_start(lower_bound),
-        };
-        Ok(start)
+        data_ready
     }
 }
 
 #[cfg(test)]
 mod equivalence {
     //! The optimized scheduler against the [`reference`] oracle:
-    //! bit-identical [`Schedule`]s across random DAGs, both bus models,
-    //! both placement policies, pinned/unpinned mixes, and both
-    //! release-time modes — plus workspace-reuse determinism.
+    //! bit-identical [`Schedule`]s across random DAGs, every topology with
+    //! random per-item costs, both bus models, both placement policies,
+    //! pinned/unpinned mixes, and both release-time modes — plus
+    //! workspace reuse across runs and across platforms.
 
+    use platform::Topology;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -908,22 +952,63 @@ mod equivalence {
             .expect("non-empty graph with anchored inputs/outputs")
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// A platform of `nproc` processors on topology `kind` (shared bus,
+    /// fully connected, ring, 2-D mesh, or a custom matrix of random
+    /// asymmetric hop counts) at `per_item` time units per item and hop.
+    fn random_platform(rng: &mut StdRng, nproc: usize, kind: usize, per_item: i64) -> Platform {
+        let cost = Time::new(per_item);
+        let topology = match kind {
+            0 => Topology::SharedBus {
+                cost_per_item: cost,
+            },
+            1 => Topology::FullyConnected {
+                cost_per_item: cost,
+            },
+            2 => Topology::Ring {
+                cost_per_item_hop: cost,
+            },
+            3 => {
+                let divisors: Vec<usize> =
+                    (1..=nproc).filter(|&w| nproc.is_multiple_of(w)).collect();
+                let width = divisors[rng.gen_range(0..divisors.len())];
+                Topology::Mesh2D {
+                    width,
+                    height: nproc / width,
+                    cost_per_item_hop: cost,
+                }
+            }
+            _ => Topology::Custom {
+                hops: (0..nproc * nproc)
+                    .map(|i| {
+                        if i / nproc == i % nproc {
+                            0
+                        } else {
+                            rng.gen_range(1..=4)
+                        }
+                    })
+                    .collect(),
+                cost_per_item_hop: cost,
+            },
+        };
+        Platform::homogeneous(nproc, topology).expect("topology sized to the platform")
+    }
 
+    proptest! {
         #[test]
         fn optimized_scheduler_matches_reference(
             seed in 0u64..u64::MAX,
             n in 1usize..=12,
             density in 0.0f64..0.7,
             nproc in 1usize..=6,
+            topology in 0usize..5,
+            per_item in 1i64..=4,
             contention in proptest::bool::ANY,
             append in proptest::bool::ANY,
             respect in proptest::bool::ANY,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let graph = random_graph(&mut rng, n, density);
-            let platform = Platform::paper(nproc).expect("valid platform");
+            let platform = random_platform(&mut rng, nproc, topology, per_item);
 
             // Slicing can reject degenerate windows; those cases exercise
             // nothing scheduler-side, so skip them.
@@ -962,6 +1047,19 @@ mod equivalence {
                     .schedule_with(&graph, &platform, &assignment, &pinning, &mut ws)
                     .expect("workspace reuse is deterministic");
                 prop_assert_eq!(&again, &slow);
+
+                // Same processor count, another topology and per-item cost:
+                // a cost table left over from the first platform would
+                // price every remote message wrongly.
+                let other_kind = (topology + rng.gen_range(1usize..5)) % 5;
+                let other_cost = per_item + rng.gen_range(1i64..=3);
+                let other = random_platform(&mut rng, nproc, other_kind, other_cost);
+                let slow = reference::schedule(&scheduler, &graph, &other, &assignment, &pinning)
+                    .expect("reference schedules every valid input");
+                let fast = scheduler
+                    .schedule_with(&graph, &other, &assignment, &pinning, &mut ws)
+                    .expect("optimized schedules every valid input");
+                prop_assert_eq!(&fast, &slow);
             }
         }
     }
@@ -1152,6 +1250,31 @@ mod tests {
             .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
             .unwrap();
         assert_eq!(reused, fresh);
+    }
+
+    #[test]
+    fn the_lower_bound_prune_skips_candidates_on_a_paper_graph() {
+        use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
+
+        // Pinned: seed-1 paper graph (55 subtasks), ADAPT slicing, 8
+        // processors. Every dispatch is unpinned, so each offers all 8
+        // candidates: 440 evaluations, of which the bound skips 264 under
+        // the delay model and 145 bus snapshots under contention.
+        let g = generate_seeded(&WorkloadSpec::paper(ExecVariation::Mdet), 1).unwrap();
+        let p = Platform::paper(8).unwrap();
+        let a = Slicer::ast_adapt().distribute(&g, &p).unwrap();
+        for (bus, expected) in [(BusModel::Delay, 264), (BusModel::Contention, 145)] {
+            let scheduler = ListScheduler::new().with_bus_model(bus);
+            let mut ws = SchedWorkspace::new();
+            let s = scheduler
+                .schedule_with(&g, &p, &a, &Pinning::new(), &mut ws)
+                .unwrap();
+            let oracle =
+                super::reference::schedule(&scheduler, &g, &p, &a, &Pinning::new()).unwrap();
+            assert_eq!(s, oracle, "bus={bus:?}");
+            assert!(ws.pruned > 0, "bus={bus:?}");
+            assert_eq!(ws.pruned, expected, "bus={bus:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use platform::{Platform, ProcessorId};
-use taskgraph::{SubtaskId, Time};
+use taskgraph::{EdgeId, SubtaskId, Time};
 
 use crate::committed::BaseStamp;
 use crate::list::ListScheduler;
@@ -18,15 +18,17 @@ use crate::{MessageSlot, ScheduleEntry};
 ///
 /// Scheduling a graph needs per-subtask placement state, per-edge message
 /// slots, one reservation timeline per processor (plus the bus and a trial
-/// snapshot of it), a ready queue, and a handful of smaller buffers. A workspace owns
-/// all of them, so a caller that schedules many times — the FEAST runner
+/// snapshot of it), a ready queue, and a handful of smaller buffers. A
+/// workspace owns all of them, so a caller that schedules many times — the FEAST runner
 /// schedules once per metric per replication, thousands of times per sweep —
-/// pays the allocations once and then runs the scheduler allocation-free in
-/// steady state: `schedule_with` resizes the buffers to the incoming
-/// graph/platform and clears them, reusing every previously grown
-/// allocation. The only per-call allocations left are the two `Vec`s handed
-/// to the returned [`Schedule`](crate::Schedule), which owns its entries and
-/// message slots by value.
+/// pays the buffer allocations once: `schedule_with` resizes the buffers to
+/// the incoming graph/platform and clears them, reusing every previously
+/// grown allocation, so the dispatch loop itself allocates nothing in
+/// steady state. Each call still allocates the two `Vec`s handed to the
+/// returned [`Schedule`](crate::Schedule), which owns its entries and
+/// message slots by value, and the provenance it records for
+/// [`ListScheduler::repair`]: a fresh `Vec` with one entry per edge and a
+/// clone of the [`Platform`] (whose `Custom` topology owns a hop matrix).
 ///
 /// A workspace never leaks state *into* a run — `schedule_with` fully
 /// resets it on entry, so a workspace may be reused freely across different
@@ -88,10 +90,22 @@ pub struct SchedWorkspace {
     /// All platform processors, hoisted once per `schedule_with` call so
     /// unpinned dispatches don't rebuild the candidate list.
     pub(crate) all_procs: Vec<ProcessorId>,
+    /// Per-item transfer cost of the run's platform, row-major by
+    /// receiving processor: `cost[to * P + from]`. Rebuilt every run from
+    /// `Platform::comm_cost`, so it never outlives the platform it was read
+    /// from.
+    pub(crate) cost: Vec<Time>,
+    /// The inputs of the subtask being dispatched, gathered once per
+    /// dispatch and read by every candidate.
+    pub(crate) inputs: Vec<Input>,
     /// Message slots produced while estimating the current candidate.
     pub(crate) trial_slots: Vec<MessageSlot>,
     /// Message slots of the best candidate so far, spliced in on commit.
     pub(crate) best_slots: Vec<MessageSlot>,
+    /// Candidates skipped since the last reset, before any bus snapshot
+    /// or timeline query, because their transfer-time lower bound already
+    /// reached the best start found.
+    pub(crate) pruned: u64,
     /// Optional deadline-miss warning budget shared across calls (and,
     /// via `Arc`, across workspaces). Configuration, not scratch: `reset`
     /// leaves it in place.
@@ -102,6 +116,17 @@ pub struct SchedWorkspace {
     /// What the last successful run ran *on*. `repair` refuses to reuse
     /// retained state unless this matches its inputs exactly.
     pub(crate) provenance: Option<Provenance>,
+}
+
+/// One input message of the subtask being dispatched.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Input {
+    pub(crate) edge: EdgeId,
+    /// Where and when the producer finished.
+    pub(crate) from: ProcessorId,
+    pub(crate) finish: Time,
+    /// Message size in data items.
+    pub(crate) items: i64,
 }
 
 /// One committed dispatch of the last successful run, in commit order:
@@ -169,8 +194,11 @@ impl SchedWorkspace {
         self.missing_preds.clear();
         self.ready.clear();
         self.all_procs.clear();
+        self.cost.clear();
+        self.inputs.clear();
         self.trial_slots.clear();
         self.best_slots.clear();
+        self.pruned = 0;
         self.log.clear();
         self.provenance = None;
     }

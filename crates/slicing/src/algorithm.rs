@@ -241,7 +241,9 @@ impl Slicer {
     /// The slicing loop behind every entry point, `redistribute` included.
     /// Each iteration's critical path is found through one [`StartTable`],
     /// so a start's search re-runs only after a sliced path changed a node
-    /// it read. `on_path` sees every chosen path in order.
+    /// it read; the node classification is built once and then updated at
+    /// each path's spine and unassigned neighbours only. `on_path` sees
+    /// every chosen path in order.
     pub(crate) fn slice_loop(
         &self,
         graph: &TaskGraph,
@@ -262,6 +264,7 @@ impl Slicer {
         let mut state = SliceState::init(graph, exp);
         let mut search = PathSearch::new(n, exp.max_chain());
         let mut table = StartTable::new(n);
+        search.classify(&state.assigned, &state.rel, &state.dl);
         let mut paths = 0usize;
         // Scratch reused across loop iterations: the hot loop runs once per
         // critical path and must not allocate per path.
@@ -270,15 +273,7 @@ impl Slicer {
 
         while state.remaining > 0 {
             let cp = search
-                .find_reusing(
-                    &mut table,
-                    exp,
-                    vweights,
-                    &state.assigned,
-                    &state.rel,
-                    &state.dl,
-                    rule,
-                )
+                .find_reusing(&mut table, exp, vweights, &state.rel, &state.dl, rule)
                 .ok_or(SliceError::NoAnchoredPath)?;
             paths += 1;
             on_path(&cp);
@@ -292,7 +287,14 @@ impl Slicer {
                 &mut slices,
                 paths,
             );
-            table.invalidate(exp, &cp.nodes, &state.assigned);
+            search.update(
+                &mut table,
+                exp,
+                &cp.nodes,
+                &state.assigned,
+                &state.rel,
+                &state.dl,
+            );
         }
 
         tracing::debug!(
@@ -301,6 +303,7 @@ impl Slicer {
             expanded_nodes = n,
             searched = table.counts.searched,
             reused = table.counts.reused,
+            touched = table.counts.touched,
             "deadline distribution complete"
         );
 
@@ -904,13 +907,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_loop_reuses_most_searches_on_a_stress_graph() {
+    /// The pinned seed-1 stress graph: 4× paper size, 32–48 deep.
+    fn stress_graph() -> TaskGraph {
         use taskgraph::gen::{generate_seeded, ExecVariation, WorkloadSpec};
         let spec = WorkloadSpec::paper(ExecVariation::Mdet)
             .with_subtasks(160..=240)
             .with_depth(32..=48);
-        let graph = generate_seeded(&spec, 1).unwrap();
+        generate_seeded(&spec, 1).unwrap()
+    }
+
+    #[test]
+    fn the_loop_reuses_most_searches_on_a_stress_graph() {
+        let graph = stress_graph();
         let slicer = Slicer::ast_thres(1.0);
         let inputs = slicer.prepare(&graph, &Platform::paper(8).unwrap());
         let (assignment, counts) = slicer.slice_loop(&graph, &inputs, |_| {}).unwrap();
@@ -922,6 +930,99 @@ mod tests {
             counts.searched * 10 <= reference_searches,
             "{} searches against {reference_searches} without reuse",
             counts.searched
+        );
+    }
+
+    #[test]
+    fn per_path_bookkeeping_touches_the_spine_neighbourhood_and_the_starts_only() {
+        // The slicing loop, one path at a time, on the stress graph (220
+        // expanded nodes, 141 paths). Outside the searches, each path's
+        // bookkeeping must visit exactly the starts before it (composed),
+        // the spine with its unassigned neighbours (re-classified) and the
+        // starts after it (re-checked) — a set that never covers all n.
+        // The old loop made three O(n) passes per path (classify, compose
+        // over 0..n, table scan); this one makes under one on average
+        // (15,467 visits against 220 × 141 = 31,020).
+        let graph = stress_graph();
+        let slicer = Slicer::ast_thres(1.0);
+        let inputs = slicer.prepare(&graph, &Platform::paper(8).unwrap());
+        let SliceInputs { exp, vweights } = &inputs;
+        let rule = slicer.metric.share_rule();
+        let n = exp.len();
+        let mut state = SliceState::init(&graph, exp);
+        let mut search = PathSearch::new(n, exp.max_chain());
+        let mut table = StartTable::new(n);
+        search.classify(&state.assigned, &state.rel, &state.dl);
+        let starts = |state: &SliceState| -> Vec<usize> {
+            (0..n)
+                .filter(|&v| !state.assigned[v] && state.rel[v].is_some())
+                .collect()
+        };
+        let (mut path_weights, mut slices) = (Vec::new(), Vec::new());
+        let (mut paths, mut total) = (0usize, 0u64);
+        while state.remaining > 0 {
+            let before = table.counts.touched;
+            let starts_before = starts(&state);
+            let cp = search
+                .find_reusing(&mut table, exp, vweights, &state.rel, &state.dl, rule)
+                .unwrap();
+            paths += 1;
+            apply_path(
+                exp,
+                vweights,
+                rule,
+                &cp,
+                &mut state,
+                &mut path_weights,
+                &mut slices,
+                paths,
+            );
+            let mut neighbourhood: Vec<usize> = cp.nodes.clone();
+            for &v in &cp.nodes {
+                for &u in exp.pred(v).iter().chain(exp.succ(v)) {
+                    if !state.assigned[u as usize] {
+                        neighbourhood.push(u as usize);
+                    }
+                }
+            }
+            neighbourhood.sort_unstable();
+            neighbourhood.dedup();
+            search.update(
+                &mut table,
+                exp,
+                &cp.nodes,
+                &state.assigned,
+                &state.rel,
+                &state.dl,
+            );
+            let starts_after = starts(&state);
+            let touched = table.counts.touched - before;
+            assert_eq!(
+                touched,
+                (starts_before.len() + neighbourhood.len() + starts_after.len()) as u64,
+                "path {paths}"
+            );
+            let mut seen = vec![false; n];
+            for &v in starts_before
+                .iter()
+                .chain(&neighbourhood)
+                .chain(&starts_after)
+            {
+                seen[v] = true;
+            }
+            let distinct = seen.iter().filter(|&&s| s).count();
+            assert!(distinct < n, "path {paths} touched all {n} nodes");
+            total += touched;
+        }
+        assert_eq!((n, paths), (220, 141));
+        assert!(
+            total < (n * paths) as u64,
+            "{total} visits over {paths} paths of {n} nodes"
+        );
+        let assignment = finalize(&slicer, &graph, exp, state).unwrap();
+        assert_eq!(
+            assignment,
+            slicer.distribute_prepared(&graph, &inputs).unwrap()
         );
     }
 

@@ -32,6 +32,14 @@
 //! with the read set of the search that produced it, and
 //! [`PathSearch::find_reusing`] re-runs only the starts whose entry an
 //! applied path invalidated.
+//!
+//! The node classification the searches read — which nodes a path may
+//! enter, which are starts, which are endpoints — is built once per run by
+//! [`PathSearch::classify`] and then kept current by
+//! [`PathSearch::update`], which re-classifies only the nodes an applied
+//! path changed and re-checks only the current starts' table entries. An
+//! iteration's bookkeeping therefore touches the spine, its unassigned
+//! neighbours and the current starts, never every node.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,17 +70,45 @@ fn mark(bits: &mut [u64], v: usize) {
     bits[v >> 6] |= 1u64 << (v & 63);
 }
 
+/// Sets node `v`'s bit to `on`.
+#[inline]
+fn set(bits: &mut [u64], v: usize, on: bool) {
+    let bit = 1u64 << (v & 63);
+    if on {
+        bits[v >> 6] |= bit;
+    } else {
+        bits[v >> 6] &= !bit;
+    }
+}
+
+/// The first node at or after `from` in a bitset, if any. Walking a set
+/// with it visits nodes in ascending order and borrows the set only per
+/// call, so the loop body may mutate whatever owns it.
+#[inline]
+fn next_node(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from >> 6;
+    let mut word = bits.get(w)? & (!0u64 << (from & 63));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some((w << 6) | word.trailing_zeros() as usize)
+}
+
 /// Bitset words covering `nodes` nodes.
 fn words(nodes: usize) -> usize {
     nodes.div_ceil(64)
 }
 
 /// Per-start searches of one slicing run: how many ran the DP and how many
-/// were answered from the [`StartTable`].
+/// were answered from the [`StartTable`]; plus how many nodes the per-path
+/// bookkeeping outside the searches visited (re-classified nodes and start
+/// entries composed or re-checked).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SearchCounts {
     pub(crate) searched: u64,
     pub(crate) reused: u64,
+    pub(crate) touched: u64,
 }
 
 /// The per-start search table of one slicing run: every release-anchored
@@ -83,8 +119,12 @@ pub(crate) struct SearchCounts {
 /// changes the `assigned`/`rel`/`dl` state of only the spine, its
 /// unassigned predecessors (deadlines) and its unassigned successors
 /// (releases). A search whose read set misses all of them would return
-/// its cached winner again, so [`invalidate`](StartTable::invalidate)
-/// drops exactly the entries whose read set meets them.
+/// its cached winner again, so [`PathSearch::update`] drops exactly the
+/// entries whose read set meets them.
+///
+/// Only the entries of current starts are kept meaningful: a start leaves
+/// the start set only by being assigned, which is permanent, and a node
+/// joining it has never been searched, so its entry is not fresh.
 #[derive(Debug)]
 pub(crate) struct StartTable {
     words: usize,
@@ -110,28 +150,6 @@ impl StartTable {
             deps: vec![0; nodes * words],
             changed: vec![0; words],
             counts: SearchCounts::default(),
-        }
-    }
-
-    /// Drops every entry whose search read a node the just-applied path
-    /// `spine` changed: the spine itself and its neighbours still
-    /// unassigned after it (`assigned` is the state after the path).
-    pub(crate) fn invalidate(&mut self, exp: &ExpandedGraph, spine: &[usize], assigned: &[bool]) {
-        self.changed.fill(0);
-        for &v in spine {
-            mark(&mut self.changed, v);
-            for &u in exp.pred(v).iter().chain(exp.succ(v)) {
-                if !assigned[u as usize] {
-                    mark(&mut self.changed, u as usize);
-                }
-            }
-        }
-        let words = self.words;
-        for (s, fresh) in self.fresh.iter_mut().enumerate() {
-            if *fresh {
-                let dep = &self.deps[s * words..(s + 1) * words];
-                *fresh = dep.iter().zip(&self.changed).all(|(d, c)| d & c == 0);
-            }
         }
     }
 }
@@ -173,9 +191,13 @@ pub(crate) struct PathSearch {
     kmax: Vec<u32>,
     /// Topological positions of live, not-yet-processed nodes.
     frontier: BinaryHeap<Reverse<u32>>,
-    /// Per-call node classification (reused allocations).
+    /// Node classification, kept current across a run by
+    /// [`update`](Self::update): `can_enter[v]` (unassigned and not
+    /// release-anchored), the start set (unassigned and release-anchored)
+    /// and the endpoint set (unassigned and deadline-anchored), as bitsets.
     can_enter: Vec<bool>,
-    endpoints: Vec<u32>,
+    starts: Vec<u64>,
+    ends: Vec<u64>,
 }
 
 impl PathSearch {
@@ -191,8 +213,9 @@ impl PathSearch {
             kmin: vec![0; nodes],
             kmax: vec![0; nodes],
             frontier: BinaryHeap::new(),
-            can_enter: Vec::with_capacity(nodes),
-            endpoints: Vec::with_capacity(nodes),
+            can_enter: vec![false; nodes],
+            starts: vec![0; words(nodes)],
+            ends: vec![0; words(nodes)],
         }
     }
 
@@ -213,39 +236,98 @@ impl PathSearch {
         self.epoch
     }
 
-    /// Classifies nodes for one slicing iteration, filling the reusable
-    /// `can_enter`/`endpoints` buffers: paths may *enter* a node only when
-    /// it is unassigned and not release-anchored (a slice entering an
-    /// anchored node from elsewhere could start before the anchor and
-    /// violate an already-assigned predecessor's deadline), and may *end*
-    /// at any unassigned deadline-anchored node.
+    /// Classifies every node against the current `assigned`/`rel`/`dl`
+    /// state: paths may *enter* a node only when it is unassigned and not
+    /// release-anchored (a slice entering an anchored node from elsewhere
+    /// could start before the anchor and violate an already-assigned
+    /// predecessor's deadline), may *start* at any unassigned
+    /// release-anchored node, and may *end* at any unassigned
+    /// deadline-anchored node. Runs once per slicing run; the loop keeps
+    /// the classification current through [`update`](Self::update).
     ///
     /// Returns `false` when no endpoint exists (no anchored path can exist
     /// either, so per-start searches are pointless).
-    fn classify(
+    pub(crate) fn classify(
         &mut self,
-        n: usize,
         assigned: &[bool],
         rel: &[Option<Time>],
         dl: &[Option<Time>],
     ) -> bool {
-        self.can_enter.clear();
-        self.can_enter
-            .extend((0..n).map(|v| !assigned[v] && rel[v].is_none()));
-        self.endpoints.clear();
-        self.endpoints
-            .extend((0..n as u32).filter(|&t| !assigned[t as usize] && dl[t as usize].is_some()));
-        !self.endpoints.is_empty()
+        for v in 0..assigned.len() {
+            self.reclassify(v, assigned, rel, dl);
+        }
+        self.has_endpoint()
+    }
+
+    fn reclassify(
+        &mut self,
+        v: usize,
+        assigned: &[bool],
+        rel: &[Option<Time>],
+        dl: &[Option<Time>],
+    ) {
+        let open = !assigned[v];
+        self.can_enter[v] = open && rel[v].is_none();
+        set(&mut self.starts, v, open && rel[v].is_some());
+        set(&mut self.ends, v, open && dl[v].is_some());
+    }
+
+    fn has_endpoint(&self) -> bool {
+        self.ends.iter().any(|&w| w != 0)
+    }
+
+    /// Brings the classification and `table` up to date after the path
+    /// `spine` was applied (`assigned`/`rel`/`dl` are the state after it).
+    ///
+    /// The path changed the state of the spine and of its neighbours still
+    /// unassigned, and of no other node: only those are re-classified, and
+    /// only the current starts' entries are re-checked against them.
+    pub(crate) fn update(
+        &mut self,
+        table: &mut StartTable,
+        exp: &ExpandedGraph,
+        spine: &[usize],
+        assigned: &[bool],
+        rel: &[Option<Time>],
+        dl: &[Option<Time>],
+    ) {
+        let changed = &mut table.changed;
+        changed.fill(0);
+        for &v in spine {
+            mark(changed, v);
+            for &u in exp.pred(v).iter().chain(exp.succ(v)) {
+                if !assigned[u as usize] {
+                    mark(changed, u as usize);
+                }
+            }
+        }
+        let mut next = next_node(&table.changed, 0);
+        while let Some(v) = next {
+            next = next_node(&table.changed, v + 1);
+            self.reclassify(v, assigned, rel, dl);
+            table.counts.touched += 1;
+        }
+        let words = table.words;
+        let mut next = next_node(&self.starts, 0);
+        while let Some(s) = next {
+            next = next_node(&self.starts, s + 1);
+            table.counts.touched += 1;
+            if table.fresh[s] {
+                let dep = &table.deps[s * words..(s + 1) * words];
+                table.fresh[s] = dep.iter().zip(&table.changed).all(|(d, c)| d & c == 0);
+            }
+        }
     }
 
     /// Finds the admissible path minimizing `rule`'s score, or `None` if no
     /// anchored path exists (which the slicing loop treats as an internal
     /// invariant violation).
     ///
-    /// `vweights` are per-node virtual execution times; `assigned` marks
-    /// nodes already sliced; `rel`/`dl` are the accumulated release/deadline
-    /// anchors. `table` holds the searches of earlier iterations of this
-    /// run that the paths applied since have not invalidated.
+    /// `vweights` are per-node virtual execution times; `rel`/`dl` are the
+    /// accumulated release/deadline anchors, and the classification must
+    /// describe the current state (see [`classify`](Self::classify)).
+    /// `table` holds the searches of earlier iterations of this run that
+    /// the paths applied since have not invalidated.
     ///
     /// Decomposed into one [`search_from`](Self::search_from) per
     /// release-anchored start, composed with a strict `<` over ascending
@@ -260,30 +342,27 @@ impl PathSearch {
         table: &mut StartTable,
         exp: &ExpandedGraph,
         vweights: &[f64],
-        assigned: &[bool],
         rel: &[Option<Time>],
         dl: &[Option<Time>],
         rule: ShareRule,
     ) -> Option<CriticalPath> {
-        let n = exp.len();
+        // With no endpoint left no search finds a path, and no cached
+        // winner survives: the endpoint it reached is in its read set and
+        // has since been assigned.
+        if !self.has_endpoint() {
+            return None;
+        }
         let words = table.words;
-        let mut classified = false;
         let mut best: Option<(usize, f64)> = None;
-        for s in 0..n {
-            let Some(start_release) = rel[s].filter(|_| !assigned[s]) else {
-                continue;
-            };
+        let mut next = next_node(&self.starts, 0);
+        while let Some(s) = next {
+            next = next_node(&self.starts, s + 1);
+            table.counts.touched += 1;
             if table.fresh[s] {
                 table.counts.reused += 1;
             } else {
-                // With no endpoint left no search finds a path, and no
-                // cached winner survives: the endpoint it reached is in its
-                // read set and has since been assigned.
-                if !classified && !self.classify(n, assigned, rel, dl) {
-                    return None;
-                }
-                classified = true;
                 table.counts.searched += 1;
+                let start_release = rel[s].expect("a start is release-anchored");
                 let dep = &mut table.deps[s * words..(s + 1) * words];
                 dep.fill(0);
                 table.cands[s] = self.search_from(exp, vweights, dl, s, start_release, rule, dep);
@@ -313,7 +392,7 @@ impl PathSearch {
         rule: ShareRule,
     ) -> Option<CriticalPath> {
         let n = exp.len();
-        if !self.classify(n, assigned, rel, dl) {
+        if !self.classify(assigned, rel, dl) {
             return None;
         }
         let mut dep = vec![0u64; words(n)];
@@ -337,12 +416,12 @@ impl PathSearch {
     /// Runs the DP from one release-anchored start `s` and returns the best
     /// candidate path it can reach, or `None` if no endpoint is reachable.
     ///
-    /// [`classify`](Self::classify) must have been called for the current
-    /// `assigned`/`rel`/`dl` state first. Within a start, candidates are
-    /// evaluated in a fixed order with a strict `<`, so the local winner is
-    /// the first candidate attaining the local minimum — composing local
-    /// winners across ascending starts with the same strict `<` reproduces
-    /// the global sweep exactly.
+    /// The classification must describe the current `assigned`/`rel`/`dl`
+    /// state. Within a start, candidates are evaluated in a fixed order
+    /// with a strict `<`, so the local winner is the first candidate
+    /// attaining the local minimum — composing local winners across
+    /// ascending starts with the same strict `<` reproduces the global
+    /// sweep exactly.
     ///
     /// Every node whose *mutable per-iteration state* the search reads (the
     /// start, every popped node, every examined successor) is marked in the
@@ -442,12 +521,14 @@ impl PathSearch {
             }
         }
 
-        // Evaluate every deadline-anchored endpoint this start reached.
-        // Reached endpoints were popped above and are therefore already in
-        // the dependency set; unreached ones only have their (stale) stamp
-        // read, which is not part of the mutable slicing state.
-        for i in 0..self.endpoints.len() {
-            let t = self.endpoints[i] as usize;
+        // Evaluate every deadline-anchored endpoint this start reached, in
+        // ascending order. Reached endpoints were popped above and are
+        // therefore already in the dependency set; unreached ones only have
+        // their (stale) stamp read, which is not part of the mutable
+        // slicing state.
+        let mut next = next_node(&self.ends, 0);
+        while let Some(t) = next {
+            next = next_node(&self.ends, t + 1);
             if self.node_stamp[t] != epoch {
                 continue;
             }
@@ -708,8 +789,6 @@ pub(crate) mod equivalence {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
         #[test]
         fn optimized_search_matches_reference(
             seed in 0u64..u64::MAX,
